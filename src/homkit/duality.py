@@ -233,7 +233,6 @@ def forest_family_duals(family, universe_cap: int = DEFAULT_UNIVERSE_CAP, produc
     """
     family = list(family)
     if not family:
-        sig = None
         raise ValueError("empty family needs an explicit signature; use terminal_structure")
     sig = family[0].sig
     for f in family:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, GirthTooSmallError
-from .homs import all_homs, hom_exists
+from .homs import hom_exists, hom_maps
 from .patterns import PatternFamily, pattern_color_map
 from .shape import biconnected_components, shortest_cycle
 from .structures import (
@@ -81,7 +81,7 @@ def psi(a: Structure, basis: BasisSignature) -> Structure:
     """Same universe; one beta-tuple per homomorphism of each block into `a`."""
     rels = {}
     for i, blk in enumerate(basis.blocks):
-        rels[basis.block_symbol(i)] = {h.mapping for h in all_homs(blk, a)}
+        rels[basis.block_symbol(i)] = set(hom_maps(blk, a))
     return Structure(basis.beta, a.n, rels, a.element_names)
 
 

@@ -383,9 +383,14 @@ def hom_exists(a: Structure, b: Structure, mode: HomMode = PLAIN) -> Homomorphis
     return None
 
 
+def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN):
+    """Every valid map exactly once, as a mapping tuple, in lexicographic order."""
+    yield from _run_search(a, b, mode, natural=True)
+
+
 def all_homs(a: Structure, b: Structure, mode: HomMode = PLAIN):
-    """Every valid map exactly once, in lexicographic order of the mapping."""
-    for m in _run_search(a, b, mode, natural=True):
+    """`hom_maps`, each map wrapped as a Homomorphism."""
+    for m in hom_maps(a, b, mode):
         yield Homomorphism(a, b, m, mode)
 
 

@@ -4,7 +4,10 @@ A pattern family over a lifted signature fixes a matching mode; a base
 structure belongs to the language iff some partition lift of it (every
 r-tuple in exactly one lift relation) admits no pattern under that mode.
 Membership search assigns lift classes to r-tuples and excludes the
-assignment fragments induced by pattern occurrences ("nogoods").
+assignment fragments induced by pattern occurrences ("nogoods").  Each
+family compiles its patterns' shadows, color maps and modes once, on first
+use.  `solve_nogoods` decides the colouring; SNP evaluation uses the same
+solver for its proof bits, as forbidden lifts and MMSNP are one problem.
 
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
@@ -14,11 +17,14 @@ translations match exact classes, so partitions lose no generality here.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 
-from .errors import GuardExceededError, SignatureMismatchError
-from .homs import all_homs, core_of, hom_exists, hom_images
+from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
+from .homs import core_of, hom_exists, hom_images, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -48,11 +54,18 @@ class PatternFamily:
     def __post_init__(self):
         if self.mode_tag not in ("plain", "injective", "full"):
             raise ValueError(f"unknown mode {self.mode_tag!r}")
+        if self.lift_arity < 1:
+            raise InvalidStructureError(f"lift_arity is {self.lift_arity}; must be >= 1")
+        for name, arity in self.sig.lift_symbols():
+            if arity != self.lift_arity:
+                raise InvalidStructureError(
+                    f"lift symbol {name} has arity {arity}, expected lift_arity {self.lift_arity}"
+                )
         for p in self.patterns:
             if p.struct.sig != self.sig:
                 raise SignatureMismatchError("pattern signature differs from family signature")
 
-    @property
+    @functools.cached_property
     def base_sig(self) -> Signature:
         return self.sig.base()
 
@@ -63,7 +76,30 @@ class PatternFamily:
         return HomMode(self.mode_tag, p.noncollapse, p.free_tuples)
 
     def is_monadic(self) -> bool:
-        return self.lift_arity == 1 and all(ar == 1 for _, ar in self.sig.lift_symbols())
+        return self.lift_arity == 1
+
+    @functools.cached_property
+    def _compiled(self):
+        """(shadow, colored cells, HomMode) of each pattern a partition lift can contain.
+
+        A cell is (getter, color index): the getter reads the image of one
+        colored r-tuple off a mapping tuple, as a bare element when r = 1.
+        Built on first use and kept for the family's lifetime, so membership
+        calls share the shadows and the search plans cached on them.
+        """
+        out = []
+        for p in self.patterns:
+            cmap = pattern_color_map(self, p)
+            if cmap is None:
+                continue  # doubly-colored tuples never occur in a partition lift
+            if self.mode_tag == "full" and len(cmap) < p.struct.n ** self.lift_arity:
+                # full-mode matching reflects the lift relations too: an
+                # uncolored pattern tuple would need a colorless image, which a
+                # partition lift never provides
+                continue
+            cells = tuple((operator.itemgetter(*t), ci) for t, ci in cmap.items())
+            out.append((shadow(p), cells, self.pattern_mode(p)))
+        return tuple(out)
 
 
 def pattern_color_map(fam: PatternFamily, p: Lift):
@@ -99,12 +135,100 @@ def lift_occurrence(fam: PatternFamily, p: Lift, witness: Lift):
     return hom_exists(p.struct, witness.struct, fam.pattern_mode(p))
 
 
+def solve_nogoods(nvars: int, k: int, nogoods):
+    """A value in range(k) for each of `nvars` variables avoiding every nogood, or None.
+
+    A nogood is a collection of (variable, value) literals, each variable at
+    most once, that must not all hold; an empty nogood can never be avoided.
+    Forward checking: once all but one literal of a nogood hold, the last
+    literal's value leaves its variable's domain (a bitmask over the
+    values).  The next variable is an unassigned one with the smallest
+    domain, ties going to the variable in the most nogoods and then to the
+    lowest index; values are tried in increasing order, and a trail undoes
+    domain changes on backtracking.  The answer does not depend on the
+    order of the nogoods.
+    """
+    dom = [(1 << k) - 1] * nvars
+    watch = {}  # (variable, value) -> nogoods with that literal
+    weight = [0] * nvars
+    for g in nogoods:
+        g = tuple(g)
+        if len(g) < 2:
+            if not g:
+                return None
+            (v, c), = g
+            dom[v] &= ~(1 << c)
+            continue
+        for lit in g:
+            watch.setdefault(lit, []).append(g)
+            weight[lit[0]] += 1
+    if 0 in dom:
+        return None
+    order = sorted(range(nvars), key=weight.__getitem__, reverse=True)
+    value = [-1] * nvars
+    trail = []
+
+    def propagate(v, c):
+        for g in watch.get((v, c), ()):
+            last = None
+            for w, d in g:
+                got = value[w]
+                if got < 0:
+                    if last is not None:
+                        break  # two literals still open
+                    last = w, d
+                elif got != d:
+                    break  # the nogood is avoided
+            else:
+                if last is None:
+                    return False
+                w, d = last
+                old = dom[w]
+                if old >> d & 1:
+                    trail.append((w, old))
+                    dom[w] = old ^ (1 << d)
+                    if old == 1 << d:
+                        return False
+        return True
+
+    stack = []  # per assigned variable: [variable, values left to try, trail mark]
+    while len(stack) < nvars:
+        best, size = -1, k + 1
+        for v in order:
+            if value[v] < 0:
+                s = dom[v].bit_count()
+                if s < size:
+                    best, size = v, s
+                    if s == 1:
+                        break
+        stack.append([best, dom[best], len(trail)])
+        while True:
+            frame = stack[-1]
+            v, rest, mark = frame
+            while len(trail) > mark:
+                w, old = trail.pop()
+                dom[w] = old
+            if rest:
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                value[v] = c = bit.bit_length() - 1
+                if propagate(v, c):
+                    break
+            else:
+                value[v] = -1
+                stack.pop()
+                if not stack:
+                    return None
+    return value
+
+
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
     """A partition lift of `a` avoiding every pattern, or None.
 
     Search space: one variable per r-tuple of `a`, one value per lift
     symbol; every mode-respecting occurrence of a pattern shadow
-    contributes a forbidden assignment fragment.
+    contributes a nogood, and `solve_nogoods` looks for a colouring
+    avoiding them all.
     """
     if a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
@@ -113,104 +237,27 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
         raise ValueError("family signature has no lift symbols")
     r = fam.lift_arity
     slots = list(itertools.product(range(a.n), repeat=r))
-    import math
-
     if len(slots) * math.log2(len(colors)) > bits_cap:
         raise GuardExceededError(
             f"{len(colors)}^{len(slots)} colorings exceed the membership cap"
         )
-    slot_index = {t: i for i, t in enumerate(slots)}
-
+    # keyed like the compiled getters' output: bare elements when r = 1
+    slot_index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
     nogoods = set()
-    base_shadow = {}
-    for p in fam.patterns:
-        cmap = pattern_color_map(fam, p)
-        if cmap is None:
-            continue  # doubly-colored tuples never occur in a partition lift
-        if fam.mode_tag == "full" and len(cmap) < p.struct.n ** r:
-            # full-mode matching reflects the lift relations too: an
-            # uncolored pattern tuple would need a colorless image, which a
-            # partition lift never provides
-            continue
-        psh = base_shadow.get(id(p))
-        if psh is None:
-            psh = shadow(p)
-            base_shadow[id(p)] = psh
-        mode = fam.pattern_mode(p)
-        for h in all_homs(psh, a, mode):
+    for psh, cells, mode in fam._compiled:
+        for m in hom_maps(psh, a, mode):
             frag = {}
-            ok = True
-            for t, ci in cmap.items():
-                s = slot_index[h.apply_tuple(t)]
-                if frag.get(s, ci) != ci:
-                    ok = False  # two pattern tuples land on one slot with different colors
-                    break
-                frag[s] = ci
-            if not ok:
-                continue
-            if not frag:
-                return None  # an unconditional occurrence: no lift can avoid it
-            nogoods.add(frozenset(frag.items()))
-
-    # backtracking over slot colors with nogood counters
-    ngs = [dict(g) for g in sorted(nogoods, key=sorted)]
-    by_slot = [[] for _ in slots]
-    for k, g in enumerate(ngs):
-        for s in g:
-            by_slot[s].append(k)
-    remaining = [len(g) for g in ngs]
-    dead = [False] * len(ngs)
-    ncolors = len(colors)
-    assignment = [-1] * len(slots)
-    trail = []
-
-    def assign(s, c):
-        ops = []
-        conflict = False
-        for k in by_slot[s]:
-            if dead[k]:
-                continue
-            if ngs[k][s] != c:
-                dead[k] = True
-                ops.append(("dead", k))
+            for get, ci in cells:
+                if frag.setdefault(slot_index[get(m)], ci) != ci:
+                    break  # two pattern tuples land on one slot with different colors
             else:
-                remaining[k] -= 1
-                ops.append(("rem", k))
-                if remaining[k] == 0:
-                    conflict = True
-        trail.append(ops)
-        return not conflict
-
-    def undo():
-        for op, k in trail.pop():
-            if op == "dead":
-                dead[k] = False
-            else:
-                remaining[k] += 1
-
-    s = 0
-    choice = [0] * (len(slots) + 1)
-    while True:
-        if s == len(slots):
-            coloring = {slots[i]: assignment[i] for i in range(len(slots))}
-            return make_partition_lift(fam, a, coloring)
-        advanced = False
-        while choice[s] < ncolors:
-            c = choice[s]
-            choice[s] += 1
-            assignment[s] = c
-            if assign(s, c):
-                s += 1
-                choice[s] = 0
-                advanced = True
-                break
-            undo()
-        if advanced:
-            continue
-        if s == 0:
-            return None
-        s -= 1
-        undo()
+                if not frag:
+                    return None  # an unconditional occurrence: no lift can avoid it
+                nogoods.add(frozenset(frag.items()))
+    coloring = solve_nogoods(len(slots), len(colors), sorted(nogoods, key=sorted))
+    if coloring is None:
+        return None
+    return make_partition_lift(fam, a, dict(zip(slots, coloring)))
 
 
 def union_families(f1: PatternFamily, f2: PatternFamily) -> PatternFamily:
@@ -381,23 +428,21 @@ def verify_shadow_duality(fam: PatternFamily, templates, max_n: int, cache=None)
     base = fam.base_sig
     if cache is None:
         cache = {}
-    lhs_memo = cache.setdefault("member", {})
-    rhs_memo = cache.setdefault("tmpl", {})
-    cache.setdefault("refs", []).extend([fam] + templates)
-    fam_key = id(fam)
+    # memos keyed by value: the family, and each template structure
+    lhs_memo = cache.setdefault("member", {}).setdefault(fam, {})
+    tmpl_memo = cache.setdefault("tmpl", {})
+    rhs_memos = [tmpl_memo.setdefault(d, {}) for d in templates]
     for n in range(max_n + 1):
         for mask, a in structures_of_size(base, n):
             key = (n, mask)
-            lhs = lhs_memo.get((fam_key, key))
+            lhs = lhs_memo.get(key)
             if lhs is None:
-                lhs = fp_membership(a, fam) is not None
-                lhs_memo[(fam_key, key)] = lhs
+                lhs = lhs_memo[key] = fp_membership(a, fam) is not None
             rhs = False
-            for d in templates:
-                hit = rhs_memo.get((key, id(d)))
+            for d, memo in zip(templates, rhs_memos):
+                hit = memo.get(key)
                 if hit is None:
-                    hit = hom_exists(a, d) is not None
-                    rhs_memo[(key, id(d))] = hit
+                    hit = memo[key] = hom_exists(a, d) is not None
                 if hit:
                     rhs = True
                     break

@@ -3,8 +3,10 @@
 A formula is an existential second-order prefix (the proof relations)
 over a universal first-order conjunction of negated clauses; each clause
 splits into input atoms, proof atoms, and inequalities.  Clause variables
-are scoped per clause.  Model checking is exact: the proof-relation
-search is a small SAT instance solved by DPLL with unit propagation.
+are scoped per clause.  Model checking is exact: one proof bit per proof
+atom over the universe, and each clause instance whose input part holds
+forbids its proof part as a nogood over those bits.  `solve_nogoods`, the
+solver behind forbidden-pattern membership, decides the bits with k = 2.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
-from .patterns import PatternFamily
+from .patterns import PatternFamily, _dedup_lifts, solve_nogoods
 from .structures import Lift, Signature, Structure
 
 PRIMITIVIZE_CAP = 1 << 14
@@ -188,67 +190,6 @@ def serialize_snp(phi: SNPFormula, name: str = "phi") -> str:
 # model checking
 # ---------------------------------------------------------------------------
 
-def _dpll(num_vars, cnf):
-    """Satisfiability of a list of literal frozensets; literal = (var, value)."""
-    assign = {}
-    trail = []
-
-    def propagate(clauses):
-        # returns False on conflict; clauses is the live list
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                unassigned = None
-                satisfied = False
-                count = 0
-                for var, val in cl:
-                    got = assign.get(var)
-                    if got is None:
-                        unassigned = (var, val)
-                        count += 1
-                    elif got == val:
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    var, val = unassigned
-                    assign[var] = val
-                    trail.append(var)
-                    changed = True
-        return True
-
-    def solve():
-        mark = len(trail)
-        if not propagate(cnf):
-            del_from(mark)
-            return False
-        var = next((v for v in range(num_vars) if v not in assign), None)
-        if var is None:
-            return True
-        for val in (False, True):
-            assign[var] = val
-            trail.append(var)
-            if solve():
-                return True
-            del_from(len(trail) - 1)
-        del_from(mark)
-        return False
-
-    def del_from(mark):
-        while len(trail) > mark:
-            assign.pop(trail.pop())
-
-    if any(not cl for cl in cnf):
-        return None
-    if solve():
-        return dict(assign)
-    return None
-
-
 def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     """Does some choice of proof relations satisfy every clause on `a`?"""
     if a.sig != phi.input_sig:
@@ -263,7 +204,7 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     if bits > bits_cap:
         raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
 
-    cnf = set()
+    nogoods = set()
     input_rels = {name: a.rel(name) for name, _ in a.sig.symbols}
     for c in phi.clauses:
         vs = c.variables
@@ -279,21 +220,16 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
                     break
             if not ok:
                 continue
-            lits = set()
-            taut = False
+            nogood = {}
             for at in c.beta:
                 var = var_of[(at.symbol, tuple(env[v] for v in at.args))]
-                lit = (var, not at.positive)  # satisfy the negation
-                if (var, at.positive) in lits:
-                    taut = True  # beta mentions both polarities: never violated
-                    break
-                lits.add(lit)
-            if taut:
-                continue
-            if not lits:
-                return False  # input-only violation: no proof can help
-            cnf.add(frozenset(lits))
-    return _dpll(bits, sorted(cnf, key=sorted)) is not None
+                if nogood.setdefault(var, at.positive) != at.positive:
+                    break  # beta mentions both polarities: never violated
+            else:
+                if not nogood:
+                    return False  # input-only violation: no proof can help
+                nogoods.add(frozenset(nogood.items()))
+    return solve_nogoods(bits, 2, sorted(nogoods, key=sorted)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +448,7 @@ def to_lifts_general(phi: SNPFormula, caps=None) -> PatternFamily:
         p = _clause_pattern(phi2, c, sig, subs, r)
         if p is not None:
             pats.append(Lift(p.struct, r, "partition"))
-    return PatternFamily(sig, _dedup(pats), "plain", r)
+    return PatternFamily(sig, _dedup_lifts(pats), "plain", r)
 
 
 def to_lifts_injective(phi: SNPFormula, caps=None) -> PatternFamily:
@@ -531,7 +467,7 @@ def to_lifts_injective(phi: SNPFormula, caps=None) -> PatternFamily:
         if p is not None:
             # saturation supplied every pair, so plain constraints vanish
             pats.append(Lift(p.struct, 1, "partition"))
-    return PatternFamily(sig, _dedup(pats), "injective", 1)
+    return PatternFamily(sig, _dedup_lifts(pats), "injective", 1)
 
 
 def to_lifts_full(phi: SNPFormula, caps=None) -> PatternFamily:
@@ -553,13 +489,4 @@ def to_lifts_full(phi: SNPFormula, caps=None) -> PatternFamily:
         p = _clause_pattern(phi2, c, sig, subs, 1, full_mode=True)
         if p is not None:
             pats.append(p)
-    return PatternFamily(sig, _dedup(pats), "full", 1)
-
-
-def _dedup(lifts):
-    from .structures import lift_canonical_form
-
-    seen = {}
-    for p in lifts:
-        seen.setdefault(lift_canonical_form(p), p)
-    return tuple(sorted(seen.values(), key=lambda p: (p.struct.n, lift_canonical_form(p))))
+    return PatternFamily(sig, _dedup_lifts(pats), "full", 1)

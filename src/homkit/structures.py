@@ -266,6 +266,9 @@ class Lift:
 
 def classify_cover(struct: Structure, r: int) -> str:
     """How the lift relations cover the r-tuples: partition, covering, or none."""
+    for name, arity in struct.sig.lift_symbols():
+        if arity != r:
+            raise InvalidStructureError(f"lift symbol {name} has arity {arity}, expected lift_arity {r}")
     counts = {t: 0 for t in itertools.product(range(struct.n), repeat=r)}
     for name, _ in struct.sig.lift_symbols():
         for t in struct.rel(name):

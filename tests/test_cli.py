@@ -184,6 +184,19 @@ class TestFamilies:
         res = run("fp-member", files["three_col.fam"], str(k4))
         assert res.exit_code == 1
 
+    def test_fp_member_lift_arity_mismatch(self, files, tmp_path):
+        # unary lift symbols under lift_arity = 2 are malformed input, not a "no"
+        bad = tmp_path / "bad.fam"
+        bad.write_text(THREE_COL_FAMILY.replace("lift_arity = 1", "lift_arity = 2"))
+        res = run("fp-member", str(bad), files["k3"])
+        assert res.exit_code == 2
+        empty = tmp_path / "empty.fam"
+        empty.write_text(
+            "signature csig { E/2 C1/1 lift C2/1 lift }\nfamily f : csig { lift_arity = 2 ; }"
+        )
+        res = run("fp-member", str(empty), files["k3"])
+        assert res.exit_code == 2
+
 
 class TestSnp:
     def test_compile_general(self, files):

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from homkit import patterns
 from homkit.enumeration import all_structures
+from homkit.errors import InvalidStructureError
 from homkit.homs import hom_equivalent, hom_exists
 from homkit.patterns import (
     PatternFamily,
@@ -15,6 +18,7 @@ from homkit.patterns import (
     make_partition_lift,
     normalize_family,
     partition_power,
+    solve_nogoods,
     union_families,
     verify_shadow_duality,
 )
@@ -111,6 +115,76 @@ class TestMembership:
 
         for a in all_structures(DIGRAPH, 4):
             assert (fp_membership(a, fam) is not None) == brute(a)
+
+    def test_family_compiles_once(self, monkeypatch):
+        # a doubly-colored pattern can never occur and is not compiled
+        both = Lift(Structure(CSIG, 1, {"C1": [(0,)], "C2": [(0,)]}), 1, "none")
+        fam = PatternFamily(CSIG, three_col_family().patterns + (both,), "plain", 1)
+        shadowed = []
+        real = patterns.shadow
+        monkeypatch.setattr(patterns, "shadow", lambda p: shadowed.append(p) or real(p))
+        inputs = [clique(3), clique(4), dcycle(5), digraph(2, [(0, 0)]), digraph(0)] * 4
+        for a in inputs:
+            fp_membership(a, fam)
+        assert len(shadowed) == 3
+
+    def test_witnesses_avoid_every_pattern(self):
+        for fam in (three_col_family(), two_col_family(), triangle_free_family()):
+            for a in all_structures(DIGRAPH, 3):
+                w = fp_membership(a, fam)
+                if w is not None:
+                    assert shadow(w) == a
+                    assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+
+
+class TestFamilyArity:
+    def test_lift_arity_must_match_lift_symbols(self):
+        pats = three_col_family().patterns
+        with pytest.raises(InvalidStructureError):
+            PatternFamily(CSIG, pats, "plain", 2)
+        with pytest.raises(InvalidStructureError):
+            PatternFamily(CSIG, (), "plain", 2)
+
+    def test_lift_arity_must_be_positive(self):
+        with pytest.raises(InvalidStructureError):
+            PatternFamily(CSIG, (), "plain", 0)
+
+
+@st.composite
+def nogood_instances(draw):
+    nvars = draw(st.integers(0, 6))
+    k = draw(st.integers(1, 3))
+    if nvars:
+        nogood = st.dictionaries(st.integers(0, nvars - 1), st.integers(0, k - 1), max_size=nvars)
+    else:
+        nogood = st.just({})
+    nogoods = draw(st.lists(nogood, max_size=12))
+    return nvars, k, [tuple(g.items()) for g in nogoods]
+
+
+def _avoids(values, nogoods):
+    return all(any(values[v] != c for v, c in g) for g in nogoods)
+
+
+class TestSolveNogoods:
+    @settings(max_examples=400, deadline=None)
+    @given(nogood_instances())
+    def test_agrees_with_brute_force(self, instance):
+        nvars, k, nogoods = instance
+        want = any(_avoids(vs, nogoods) for vs in itertools.product(range(k), repeat=nvars))
+        got = solve_nogoods(nvars, k, nogoods)
+        assert (got is not None) == want
+        if got is not None:
+            assert len(got) == nvars and all(0 <= c < k for c in got)
+            assert _avoids(got, nogoods)
+        # the answer depends on the nogoods, not on their order
+        assert solve_nogoods(nvars, k, nogoods[::-1]) == got
+
+    def test_empty_and_unit_nogoods(self):
+        assert solve_nogoods(0, 2, []) == []
+        assert solve_nogoods(2, 2, [()]) is None
+        assert solve_nogoods(1, 2, [((0, 0),), ((0, 1),)]) is None
+        assert solve_nogoods(2, 2, [((0, 0),), ((0, 1), (1, 1))]) == [1, 0]
 
 
 class TestNormalize:

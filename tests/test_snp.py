@@ -96,6 +96,55 @@ class TestEval:
             assert eval_snp(phi, a) == brute(a), a
 
 
+def _brute_eval(phi, a):
+    """Try every choice of proof relations against every clause valuation."""
+    atoms = [(name, t) for name, ar in phi.proof for t in itertools.product(range(a.n), repeat=ar)]
+
+    def violated(c, truth):
+        for vals in itertools.product(range(a.n), repeat=len(c.variables)):
+            env = dict(zip(c.variables, vals))
+            if any(env[x] == env[y] for x, y in c.epsilon):
+                continue
+            if all((tuple(env[v] for v in at.args) in a.rel(at.symbol)) == at.positive for at in c.alpha) and all(
+                truth[(at.symbol, tuple(env[v] for v in at.args))] == at.positive for at in c.beta
+            ):
+                return True
+        return False
+
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        truth = dict(zip(atoms, bits))
+        if not any(violated(c, truth) for c in phi.clauses):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # two-colourability with a negated proof atom; a loop is a clause
+        # instance with both polarities of P(x)
+        "snp b0 { input { E/2 } proof { P/1 } clause NOT( E(x,y) & P(x) & P(y) ) ; "
+        "clause NOT( E(x,y) & !P(x) & !P(y) ) ; }",
+        "snp b1 { input { E/2 } proof { P/1 } clause NOT( E(x,y) & P(x) & !P(y) ) ; clause NOT( E(x,x) & !P(x) ) ; "
+        "clause NOT( E(x,y) & E(y,x) & P(y) & x != y ) ; }",
+        # E inside a strict order: acyclicity, over a binary proof relation
+        "snp b2 { input { E/2 } proof { Q/2 } clause NOT( E(x,y) & !Q(x,y) ) ; "
+        "clause NOT( Q(x,y) & Q(y,z) & !Q(x,z) ) ; clause NOT( Q(x,x) ) ; }",
+        # the first clause writes both polarities of P(x) and is never violated
+        "snp b3 { input { E/2 } proof { P/1 Q/1 } clause NOT( E(x,y) & P(x) & !P(x) & Q(y) ) ; "
+        "clause NOT( E(x,y) & !P(x) & !P(y) ) ; clause NOT( E(x,y) & Q(x) & Q(y) ) ; "
+        "clause NOT( E(x,y) & P(x) & P(y) & !Q(x) & !Q(y) ) ; }",
+        "snp b4 { input { E/2 } proof { P/1 Q/1 } clause NOT( !E(x,y) & P(x) & !Q(y) & x != y ) ; "
+        "clause NOT( Q(x) & Q(y) & E(x,y) ) ; clause NOT( E(x,y) & !P(x) & !P(y) ) ; "
+        "clause NOT( E(x,y) & P(x) & P(y) & !Q(x) & !Q(y) ) ; }",
+    ],
+)
+def test_eval_matches_brute_force(text):
+    phi = parse_snp(text)
+    for a in all_structures(DIGRAPH, 3):
+        assert eval_snp(phi, a) == _brute_eval(phi, a), (text, a)
+
+
 def _formula_corpus():
     """Hand-picked formulas spanning the restriction combinations."""
     texts = [
