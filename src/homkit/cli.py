@@ -1,15 +1,18 @@
 """Command-line front end: decision pipelines over structure and formula files.
 
 Exit codes follow the answer semantics: 0 = yes/success, 1 = no/negative,
-2 = malformed input or an exceeded size guard.  `--format machine` emits
-one JSON document mirroring the human report; embedded structures are
-serialized in the regular file grammar and re-parseable.
+2 = malformed input, an exceeded size guard, or an internal error (any
+other exception, reported with `error_kind: internal` and a traceback on
+stderr; a crash never exits 1, which would read as "no").  `--format
+machine` emits one JSON document mirroring the human report; embedded
+structures are serialized in the regular file grammar and re-parseable.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import traceback
 
 import click
 
@@ -65,16 +68,31 @@ class Report:
         ctx.exit(code)
 
 
-def _fail(ctx, command, exc):
+def _fail(ctx, command, exc, kind=None):
     rep = Report(command)
-    kind = type(exc).__name__
+    kind = kind or type(exc).__name__
     rep.say(f"error ({kind}): {exc}")
     rep.put("error", str(exc))
     rep.put("error_kind", kind)
     rep.finish(ctx, 2)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports an exception escaping a command with exit 2, never 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.ClickException, click.Abort):
+            raise
+        except HomkitError as e:
+            _fail(ctx, ctx.invoked_subcommand, e)
+        except Exception as e:
+            click.echo(traceback.format_exc(), err=True, nl=False)
+            _fail(ctx, ctx.invoked_subcommand, f"{type(e).__name__}: {e}", "internal")
+
+
+@click.group(cls=_Group)
 @click.option("--format", "fmt", type=click.Choice(["human", "machine"]), default="human")
 @click.pass_context
 def main(ctx, fmt):

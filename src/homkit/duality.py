@@ -195,33 +195,34 @@ def tree_dual(t: Structure, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Structu
 
 
 def _retract_dominated(a: Structure) -> Structure:
-    """Cheap pre-coring: repeatedly drop y when x absorbs it (y -> x pointwise)."""
-    current = a
+    """Cheap pre-coring: drop y when some x absorbs it (y -> x pointwise).
+
+    Each pass tests every live y against every other live x on the tuples
+    of y whose elements are all still live, dropping y at once when one
+    absorbs it; passes repeat until one drops nothing, since a removal can
+    make an earlier element dominated.
+    """
+    n = a.n
+    by_elem = [[] for _ in range(n)]
+    for si, tp in a.all_tuples():
+        for x in set(tp):
+            by_elem[x].append((si, tp))
+    live = [True] * n
     changed = True
-    while changed and current.n > 1:
+    while changed:
         changed = False
-        by_elem = [[] for _ in range(current.n)]
-        for si, tp in current.all_tuples():
-            for x in set(tp):
-                by_elem[x].append((si, tp))
-        for y in range(current.n):
-            for x in range(current.n):
-                if x == y:
+        for y in range(n):
+            if not live[y]:
+                continue
+            incident = [(a.rels[si], tp) for si, tp in by_elem[y] if all(live[z] for z in tp)]
+            for x in range(n):
+                if x == y or not live[x]:
                     continue
-                ok = True
-                for si, tp in by_elem[y]:
-                    img = tuple(x if z == y else z for z in tp)
-                    if img not in current.rels[si]:
-                        ok = False
-                        break
-                if ok:
-                    keep = [z for z in range(current.n) if z != y]
-                    current = induced(current, keep)
+                if all(tuple(x if z == y else z for z in tp) in rel for rel, tp in incident):
+                    live[y] = False
                     changed = True
                     break
-            if changed:
-                break
-    return current
+    return induced(a, [z for z in range(n) if live[z]])
 
 
 def forest_family_duals(family, universe_cap: int = DEFAULT_UNIVERSE_CAP, product_cap: int = 4096):
@@ -306,9 +307,7 @@ def verify_duality(forb, duals, max_n: int, cache=None):
         cache = {}
     lhs_memo = cache.setdefault("lhs", {})
     rhs_memo = cache.setdefault("rhs", {})
-    # pin the keyed objects so ids stay unique for the cache's lifetime
-    cache.setdefault("refs", []).extend(forb + duals)
-    forb_key = tuple(id(f) for f in forb)
+    forb_key = tuple(forb)
 
     def lhs(a, key):
         hit = lhs_memo.get((forb_key, key))
@@ -319,7 +318,7 @@ def verify_duality(forb, duals, max_n: int, cache=None):
 
     def rhs(a, key):
         for d in duals:
-            dkey = (key, id(d))
+            dkey = (key, d)
             hit = rhs_memo.get(dkey)
             if hit is None:
                 hit = hom_exists(a, d) is not None

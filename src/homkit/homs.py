@@ -127,10 +127,12 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
             checks[trigger].append((si, t, present))
 
     if mode.tag == "full":
+        # a free slot waives only the absence requirement: held tuples are
+        # always preserved
         for si, (_, arity) in enumerate(a.sig.symbols):
             ra = a.rels[si]
             for t in itertools.product(range(n), repeat=arity):
-                if (si, t) not in free:
+                if t in ra or (si, t) not in free:
                     add_check(si, t, t in ra)
     else:
         for si, t in tuples:
@@ -155,10 +157,8 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
         ra = a.rels[si]
         for x in range(n):
             t = (x,) * arity
-            if (si, t) in free:
-                continue
             present = t in ra
-            if present or mode.tag == "full":
+            if present or (mode.tag == "full" and (si, t) not in free):
                 node[x].append((si, present))
 
     # pairwise constraints for the arc-consistency prefilter

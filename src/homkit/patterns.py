@@ -460,8 +460,10 @@ def expand_partial_constraints(fam: PatternFamily, cap: int = EXPAND_CAP) -> Pat
     - plain or injective families with noncollapse pairs become the
       injective family with the same language, as computed by
       `injective_expansion`;
-    - full families split each free tuple slot into a present and an
-      absent variant, until no pattern has a free tuple.
+    - full families drop each free slot the pattern holds (a free slot
+      waives only the absence requirement, so a held one is an ordinary
+      tuple) and split each other free slot into a present and an absent
+      variant, until no pattern has a free tuple.
 
     Use `injective_expansion` to rewrite a plain family as an injective one
     whether or not it carries constraints.
@@ -482,10 +484,10 @@ def expand_partial_constraints(fam: PatternFamily, cap: int = EXPAND_CAP) -> Pat
                 continue
             sym, t = min(p.free_tuples)
             rest = p.free_tuples - {(sym, t)}
-            with_t = p.struct.with_relations({sym: p.struct.rel(sym) | {t}})
-            without_t = p.struct.with_relations({sym: p.struct.rel(sym) - {t}})
-            queue.append(Lift(with_t, p.lift_arity, p.cover_mode, p.noncollapse, rest))
-            queue.append(Lift(without_t, p.lift_arity, p.cover_mode, p.noncollapse, rest))
+            if t not in p.struct.rel(sym):
+                with_t = p.struct.with_relations({sym: p.struct.rel(sym) | {t}})
+                queue.append(Lift(with_t, p.lift_arity, p.cover_mode, p.noncollapse, rest))
+            queue.append(Lift(p.struct, p.lift_arity, p.cover_mode, p.noncollapse, rest))
         pats = _dedup_lifts(done)
         return PatternFamily(fam.sig, pats, "full", fam.lift_arity)
 

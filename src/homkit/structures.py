@@ -7,6 +7,7 @@ and hashable; every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,17 +40,16 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
+    @functools.cached_property
+    def _lookup(self) -> dict:
+        """name -> (index, arity); kept in the instance dict, outside equality and hashing."""
+        return {name: (i, arity) for i, (name, arity) in enumerate(self.symbols)}
+
     def arity(self, name: str) -> int:
-        for sym, ar in self.symbols:
-            if sym == name:
-                return ar
-        raise KeyError(name)
+        return self._lookup[name][1]
 
     def index(self, name: str) -> int:
-        for i, (sym, _) in enumerate(self.symbols):
-            if sym == name:
-                return i
-        raise KeyError(name)
+        return self._lookup[name][0]
 
     def base_symbols(self) -> tuple[tuple[str, int], ...]:
         return tuple((s, a) for s, a in self.symbols if s not in self.lift_names)
@@ -157,7 +157,9 @@ class HomMode:
 
     `noncollapse` lists source element pairs that may not be identified
     (partially injective matching); `free_tuples` lists (symbol, tuple)
-    slots of the source exempt from the full-mode polarity requirement.
+    slots of the source exempt from the full-mode absence requirement: an
+    absent free slot may map onto a present tuple, and a held free slot is
+    preserved like any other tuple.
     """
 
     tag: str = "plain"
@@ -394,17 +396,31 @@ def relabel(a: Structure, perm) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism via canonical forms: colour refinement to cut the permutation
-# space, then lexicographic minimisation over class-respecting relabelings.
+# Isomorphism via canonical labelling (individualisation-refinement, McKay &
+# Piperno 2014): colour refinement splits the elements into cells; the
+# search individualises each element of the first non-singleton cell in
+# turn and refines again until the colouring is discrete.  Every discrete
+# colouring is a leaf labelling, and the least leaf encoding is the key.
+# Two leaves with equal encodings give an automorphism, which prunes
+# children in one orbit and abandons subtrees equivalent to explored ones.
 # ---------------------------------------------------------------------------
 
-def _refine_colors(a: Structure, init=None):
-    n = a.n
-    colors = list(init) if init is not None else [0] * n
-    incident = [[] for _ in range(n)]
+def _incidence(a: Structure):
+    """Per element: the (symbol index, position, tuple) triples it occurs in."""
+    incident = [[] for _ in range(a.n)]
     for si, t in a.all_tuples():
         for pos, x in enumerate(t):
             incident[x].append((si, pos, t))
+    return incident
+
+
+def _refine_colors(incident, colors):
+    """Refine `colors` by the colour profiles of incident tuples, as ranks.
+
+    Ranks depend on colours and profiles only, never on element names, and
+    keep the order of the input colours, so isomorphic inputs refine alike.
+    """
+    n = len(colors)
     for _ in range(n):
         profiles = []
         for x in range(n):
@@ -421,24 +437,28 @@ def _refine_colors(a: Structure, init=None):
     return colors
 
 
-def _class_perms(colors):
-    """Yield relabelings old->new respecting the (canonically ordered) classes."""
-    n = len(colors)
-    classes = {}
-    for x in range(n):
-        classes.setdefault(colors[x], []).append(x)
-    blocks = [classes[c] for c in sorted(classes)]
-    starts = []
-    pos = 0
-    for b in blocks:
-        starts.append(pos)
-        pos += len(b)
-    for arrangement in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        perm = [0] * n
-        for start, members in zip(starts, arrangement):
-            for off, x in enumerate(members):
-                perm[x] = start + off
-        yield perm
+def _first_cell(colors):
+    """Members of the least-coloured cell with two or more elements, or None."""
+    cells = {}
+    for x, c in enumerate(colors):
+        cells.setdefault(c, []).append(x)
+    multi = [c for c, members in cells.items() if len(members) > 1]
+    return cells[min(multi)] if multi else None
+
+
+def _next_child(cell, tried, prefix, autos):
+    """First cell member outside the orbits of `tried` under the automorphisms fixing `prefix`."""
+    fixing = [g for g in autos if all(g[x] == x for x in prefix)]
+    seen = set(tried)
+    todo = list(tried)
+    while todo:
+        x = todo.pop()
+        for g in fixing:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return next((v for v in cell if v not in seen), None)
 
 
 def _encode(a: Structure, perm):
@@ -447,33 +467,78 @@ def _encode(a: Structure, perm):
     )
 
 
-def canonical_form(a: Structure, colors=None):
-    """A hashable key equal for exactly the (colour-respecting) isomorphic copies."""
+def _canonical_labelling(a: Structure, colors=None):
+    """(encoding, perm) of the least leaf of the individualisation-refinement tree.
+
+    `perm` maps old id -> canonical id and `encoding` is `_encode(a, perm)`.
+    Among colourings with one multiset of colours, encodings are equal for
+    exactly the colour-respecting isomorphic copies of `a`.
+    """
+    incident = _incidence(a)
+    root = _refine_colors(incident, list(colors) if colors is not None else [0] * a.n)
+    cell = _first_cell(root)
+    if cell is None:
+        return _encode(a, root), root
+    first = best = None  # (encoding, perm, path of individualised elements)
+    autos = []  # automorphisms found, as lists old id -> old id
+    stack = [(root, (), cell, [])]  # frame: colouring, path, target cell, children tried
+    while stack:
+        colouring, path, cell, tried = stack[-1]
+        v = _next_child(cell, tried, path, autos)
+        if v is None:
+            stack.pop()
+            continue
+        tried.append(v)
+        init = [2 * c for c in colouring]
+        init[v] += 1  # v alone, just after the rest of its cell
+        child = _refine_colors(incident, init)
+        child_path = path + (v,)
+        cell = _first_cell(child)
+        if cell is not None:
+            stack.append((child, child_path, cell, []))
+            continue
+        enc = _encode(a, child)
+        if first is None:
+            first = best = (enc, child, child_path)
+            continue
+        for enc0, perm0, path0 in (first, best):
+            if enc == enc0:
+                inverse0 = [0] * a.n
+                for x, p in enumerate(perm0):
+                    inverse0[p] = x
+                autos.append([inverse0[p] for p in child])
+                # the automorphism maps the subtree explored below the point
+                # where path0 branched off onto the one entered here
+                depth = 0
+                while path0[depth] == child_path[depth]:
+                    depth += 1
+                del stack[depth + 1:]
+                break
+        else:
+            if enc < best[0]:
+                best = (enc, child, child_path)
+    return best[0], best[1]
+
+
+def _labelled(a: Structure, colors=None):
+    """Cached (key, perm) of `a` under the initial colouring `colors`."""
     ckey = ("canon", tuple(colors) if colors is not None else None)
     hit = a._cache.get(ckey)
-    if hit is not None:
-        return hit
-    refined = _refine_colors(a, colors)
-    best = None
-    for perm in _class_perms(refined):
-        enc = _encode(a, perm)
-        if best is None or enc < best:
-            best = enc
-    key = (a.sig, a.n, best)
-    a._cache[ckey] = key
-    return key
+    if hit is None:
+        enc, perm = _canonical_labelling(a, colors)
+        key = (a.sig, a.n, enc) if colors is None else (a.sig, a.n, enc, tuple(sorted(colors)))
+        hit = a._cache[ckey] = (key, perm)
+    return hit
+
+
+def canonical_form(a: Structure, colors=None):
+    """A hashable key equal for exactly the (colour-respecting) isomorphic copies."""
+    return _labelled(a, colors)[0]
 
 
 def canonical_perm(a: Structure, colors=None):
     """A relabeling realising canonical_form (old id -> canonical id)."""
-    refined = _refine_colors(a, colors)
-    best = None
-    best_perm = None
-    for perm in _class_perms(refined):
-        enc = _encode(a, perm)
-        if best is None or enc < best:
-            best, best_perm = enc, perm
-    return best_perm if best_perm is not None else []
+    return list(_labelled(a, colors)[1])
 
 
 def is_isomorphic(a: Structure, b: Structure) -> bool:
@@ -485,25 +550,23 @@ def is_isomorphic(a: Structure, b: Structure) -> bool:
 
 
 def lift_canonical_form(lift: Lift):
-    """Canonical key for lifts including constraint metadata."""
-    base = canonical_form(lift.struct)
+    """Canonical key for lifts including constraint metadata.
+
+    Noncollapse pairs and free slots become extra relations of one
+    augmented structure (a symmetric binary relation, and one relation per
+    symbol), so a single labelling covers the carrier and its constraints.
+    """
+    a = lift.struct
+    nsym = len(a.sig.symbols)
     if not (lift.noncollapse or lift.free_tuples):
-        extras = None
-    else:
-        # Minimise the constraint encoding over every relabeling that
-        # realises the canonical carrier, so automorphic presentations of
-        # the same constrained lift collapse to one key.
-        a = lift.struct
-        refined = _refine_colors(a)
-        target = base[2]
-        extras = None
-        for perm in _class_perms(refined):
-            if _encode(a, perm) != target:
-                continue
-            cand = (
-                tuple(sorted(tuple(sorted((perm[x], perm[y]))) for x, y in lift.noncollapse)),
-                tuple(sorted((sym, tuple(perm[x] for x in t)) for sym, t in lift.free_tuples)),
-            )
-            if extras is None or cand < extras:
-                extras = cand
-    return (base, lift.lift_arity, lift.cover_mode, extras)
+        return (canonical_form(a), lift.lift_arity, lift.cover_mode, ((),) * (nsym + 1))
+    arities = [arity for _, arity in a.sig.symbols]
+    free = [set() for _ in arities]
+    for name, t in lift.free_tuples:
+        free[a.sig.index(name)].add(t)
+    noncollapse = {(x, y) for p, q in lift.noncollapse for x, y in ((p, q), (q, p))}
+    rels = list(a.rels) + [noncollapse] + free
+    names = [f"r{i}" for i in range(len(rels))]  # a fresh signature: no name can clash
+    sig = Signature(tuple(zip(names, arities + [2] + arities)))
+    enc, _ = _canonical_labelling(Structure(sig, a.n, dict(zip(names, rels))))
+    return ((a.sig, a.n, enc[:nsym]), lift.lift_arity, lift.cover_mode, enc[nsym:])

@@ -115,6 +115,23 @@ class TestHom:
         assert payload["exists"] is True
         assert payload["exit_code"] == 0
 
+    def test_internal_error_exits_2(self, files, monkeypatch):
+        # exit 1 means "no", so a crash in the library must not produce it
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("homkit.cli._homs.hom_exists", crash)
+        res = CliRunner().invoke(main, ["--format", "machine", "hom", files["k2"], files["k3"]])
+        assert res.exit_code == 2
+        payload = json.loads(res.stdout)
+        assert payload["error_kind"] == "internal"
+        assert payload["exit_code"] == 2
+        assert "RuntimeError: boom" in payload["error"]
+        assert "Traceback" in res.stderr
+        res = run("hom", files["k2"], files["k3"])
+        assert res.exit_code == 2
+        assert "error (internal)" in res.stdout
+
 
 class TestUnary:
     def test_girth_triangle(self, files):

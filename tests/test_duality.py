@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from homkit.duality import (
+    _retract_dominated,
     dedup_hom_equivalent,
     forest_family_duals,
     terminal_structure,
@@ -9,11 +13,11 @@ from homkit.duality import (
 )
 from homkit.enumeration import all_structures
 from homkit.errors import NotATreeError
-from homkit.homs import hom_equivalent, hom_exists, is_core
+from homkit.homs import check_homomorphism, hom_equivalent, hom_exists, is_core
 from homkit.shape import connected_component_elements, is_forest
-from homkit.structures import is_isomorphic, product
+from homkit.structures import Homomorphism, induced, is_isomorphic, product
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, point
+from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, point
 
 
 class TestTreeDual:
@@ -47,6 +51,11 @@ class TestTreeDual:
         with pytest.raises(NotATreeError):
             tree_dual(digraph(0))
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_directed_path_dual_is_transitive_tournament(self, k):
+        tournament = digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        assert is_isomorphic(tree_dual(dpath(k)), tournament)
+
     def test_outputs_are_cores(self):
         for t in [dpath(1), dpath(2), dpath(3), digraph(3, [(0, 1), (0, 2)])]:
             assert is_core(tree_dual(t))
@@ -71,6 +80,15 @@ class TestVerifyDuality:
     def test_arc_duality_holds(self):
         ok, cex = verify_duality([dpath(1)], [point()], 3)
         assert ok and cex is None
+
+    def test_cache_keyed_by_value(self):
+        # equal but distinct inputs hit the entries of the first sweep
+        cache = {}
+        first = verify_duality([dpath(2)], [dpath(1)], 3, cache=cache)
+        sizes = {name: len(memo) for name, memo in cache.items()}
+        second = verify_duality([dpath(2)], [dpath(1)], 3, cache=cache)
+        assert first == second == (True, None)
+        assert {name: len(memo) for name, memo in cache.items()} == sizes
 
     def test_wrong_dual_detected(self):
         ok, cex = verify_duality([dpath(1)], [dpath(1)], 2)
@@ -158,3 +176,17 @@ def test_product_respects_csp_intersection():
         lhs = hom_exists(a, p) is not None
         rhs = hom_exists(a, b) is not None and hom_exists(a, c) is not None
         assert lhs == rhs
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_structures())
+def test_retract_dominated_is_an_equivalent_induced_substructure(a):
+    r = _retract_dominated(a)
+    assert hom_equivalent(a, r)
+    assert any(
+        induced(a, keep) == r for keep in itertools.combinations(range(a.n), r.n)
+    )
+    # no element is left that another one absorbs
+    for y, x in itertools.permutations(range(r.n), 2):
+        fold = tuple(x if z == y else z for z in range(r.n))
+        assert not check_homomorphism(Homomorphism(r, r, fold))[0]

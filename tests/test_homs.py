@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homkit.homs import (
     all_homs,
@@ -21,7 +22,19 @@ from homkit.structures import (
     is_isomorphic,
 )
 
-from util import clique, dcycle, digraph, dpath, loop_vertex, naive_homs, point, scycle
+from util import (
+    MIXED,
+    clique,
+    dcycle,
+    digraph,
+    dpath,
+    loop_vertex,
+    mixed_structures,
+    naive_homs,
+    naive_valid,
+    point,
+    scycle,
+)
 
 
 class TestSpecCases:
@@ -117,6 +130,40 @@ def test_partial_full_free_tuples():
     assert hom_exists(a, loop_vertex(), FULL) is None
     assert naive_homs(a, loop_vertex(), "full") == []
     assert naive_homs(a, loop_vertex(), "full", free_tuples={("E", (0, 0))}) == [(0,)]
+
+
+def test_held_free_tuple_is_preserved():
+    # a free slot waives only absence: the held loop must still map to a tuple
+    a = loop_vertex()
+    mode = HomMode("full", free_tuples=frozenset({("E", (0, 0))}))
+    arc = digraph(2, [(0, 1)])
+    assert hom_exists(a, arc, mode) is None
+    assert naive_homs(a, arc, "full", free_tuples={("E", (0, 0))}) == []
+    ok, _ = check_homomorphism(Homomorphism(a, arc, (0,), mode))
+    assert not ok
+
+
+@st.composite
+def full_mode_instances(draw):
+    """Small mixed-arity source and target with random free slots of the source."""
+    a = draw(mixed_structures(max_n=3, max_tuples=4))
+    b = draw(mixed_structures(max_n=3, max_tuples=8))
+    slots = [
+        (name, t) for name, arity in MIXED.symbols for t in itertools.product(range(a.n), repeat=arity)
+    ]
+    free = draw(st.frozensets(st.sampled_from(slots), max_size=6)) if slots else frozenset()
+    return a, b, free
+
+
+@settings(max_examples=300, deadline=None)
+@given(full_mode_instances())
+def test_full_mode_free_slots_match_naive(instance):
+    a, b, free = instance
+    got = [h.mapping for h in all_homs(a, b, HomMode("full", free_tuples=free))]
+    assert got == naive_homs(a, b, "full", free_tuples=free)
+    h = hom_exists(a, b, HomMode("full", free_tuples=free))
+    assert (h is None) == (not got)
+    assert h is None or naive_valid(a, b, h.mapping, "full", free_tuples=free)
 
 
 class TestCores:

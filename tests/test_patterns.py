@@ -403,6 +403,22 @@ class TestExpandPartial:
             assert naive_membership(a, fam)
             assert all(lift_occurrence(fam, q, got) is None for q in fam.patterns)
 
+    def test_full_expansion_drops_held_free_slot(self):
+        # a held free slot is an ordinary tuple: it is dropped, not split
+        p = Lift(
+            Structure(BSIG, 1, {"E": [(0, 0)], "C1": [(0,)]}),
+            1,
+            "none",
+            free_tuples=frozenset({("E", (0, 0))}),
+        )
+        fam = PatternFamily(BSIG, (p,), "full", 1)
+        out = expand_partial_constraints(fam)
+        assert [q.struct for q in out.patterns] == [p.struct]
+        assert not out.patterns[0].free_tuples
+        for a in all_structures(DIGRAPH, 3):
+            assert (fp_membership(a, fam) is not None) == (fp_membership(a, out) is not None)
+            assert (fp_membership(a, fam) is not None) == naive_membership(a, fam)
+
     def test_full_expansion_free_tuple(self):
         p = Lift(
             Structure(BSIG, 1, {"C1": [(0,)]}),

@@ -1,4 +1,7 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homkit.errors import InvalidStructureError, SignatureMismatchError
 from homkit.structures import (
@@ -8,10 +11,13 @@ from homkit.structures import (
     Homomorphism,
     Lift,
     Structure,
+    Signature,
     canonical_form,
+    canonical_perm,
     disjoint_union,
     induced,
     is_isomorphic,
+    lift_canonical_form,
     make_signature,
     product,
     pullback_lift,
@@ -20,7 +26,17 @@ from homkit.structures import (
     shadow,
 )
 
-from util import DIGRAPH, clique, dcycle, digraph, loop_vertex, point
+from util import (
+    DIGRAPH,
+    MIXED,
+    clique,
+    dcycle,
+    digraph,
+    loop_vertex,
+    mixed_structures,
+    naive_isomorphic,
+    point,
+)
 
 CSIG = make_signature([("E", 2), ("C1", 1), ("C2", 1), ("C3", 1)], lift=["C1", "C2", "C3"])
 
@@ -230,3 +246,126 @@ class TestIsomorphism:
 
     def test_point_vs_loop(self):
         assert not is_isomorphic(point(), loop_vertex())
+
+
+class TestSignatureLookup:
+    def test_index_and_arity(self):
+        sig = make_signature([("U", 1), ("E", 2), ("T", 3)])
+        assert [sig.index(name) for name in ("U", "E", "T")] == [0, 1, 2]
+        assert [sig.arity(name) for name in ("U", "E", "T")] == [1, 2, 3]
+        with pytest.raises(KeyError):
+            sig.index("F")
+        with pytest.raises(KeyError):
+            sig.arity("F")
+
+    def test_lookup_stays_out_of_equality_and_hashing(self):
+        used = make_signature([("E", 2)])
+        used.index("E")
+        fresh = make_signature([("E", 2)])
+        assert used == fresh and hash(used) == hash(fresh)
+
+
+@st.composite
+def coloured_pairs(draw):
+    """A coloured structure, and a relabelled copy that may have one tuple or colour edited."""
+    a = draw(mixed_structures())
+    colors = draw(st.lists(st.integers(0, 2), min_size=a.n, max_size=a.n))
+    perm = draw(st.permutations(range(a.n)))
+    b = relabel(a, perm)
+    colors_b = [0] * a.n
+    for x in range(a.n):
+        colors_b[perm[x]] = colors[x]
+    edit = draw(st.sampled_from(["none", "tuple", "colour"]))
+    if a.n and edit == "tuple":
+        name, arity = draw(st.sampled_from(MIXED.symbols))
+        t = draw(st.tuples(*[st.integers(0, a.n - 1)] * arity))
+        b = b.with_relations({name: b.rel(name) ^ {t}})
+    elif a.n and edit == "colour":
+        colors_b[draw(st.integers(0, a.n - 1))] = draw(st.integers(0, 2))
+    return a, colors, b, colors_b
+
+
+def key_tuples(key):
+    return tuple(frozenset(r) for r in key[2])
+
+
+class TestCanonicalLabelling:
+    @settings(max_examples=300, deadline=None)
+    @given(coloured_pairs())
+    def test_keys_agree_with_brute_force(self, pair):
+        a, colors, b, colors_b = pair
+        same = canonical_form(a, colors) == canonical_form(b, colors_b)
+        assert same == naive_isomorphic(a, b, colors, colors_b)
+        assert (canonical_form(a) == canonical_form(b)) == naive_isomorphic(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_structures(), st.data())
+    def test_perm_realises_key(self, a, data):
+        colors = data.draw(st.none() | st.lists(st.integers(0, 2), min_size=a.n, max_size=a.n))
+        perm = canonical_perm(a, colors)
+        assert sorted(perm) == list(range(a.n))
+        assert relabel(a, perm).rels == key_tuples(canonical_form(a, colors))
+
+    @pytest.mark.parametrize("a", [clique(8), clique(10), digraph(8)], ids=["K8", "K10", "edgeless8"])
+    def test_symmetric_structures_complete(self, a):
+        key = canonical_form(a)
+        assert relabel(a, canonical_perm(a)).rels == key_tuples(key)
+        assert canonical_form(relabel(a, list(reversed(range(a.n))))) == key
+
+
+@st.composite
+def constrained_lifts(draw):
+    """A lift over MIXED with random noncollapse pairs and free slots."""
+    a = draw(mixed_structures(max_n=5, max_tuples=4))
+    pairs = [(x, y) for x in range(a.n) for y in range(x + 1, a.n)]
+    noncollapse = draw(st.frozensets(st.sampled_from(pairs), max_size=3)) if pairs else frozenset()
+    free = frozenset()
+    if a.n:
+        name, arity = draw(st.sampled_from(MIXED.symbols))
+        slot = st.tuples(*[st.integers(0, a.n - 1)] * arity)
+        free = frozenset((name, t) for t in draw(st.lists(slot, max_size=3)))
+    return Lift(a, None, "none", noncollapse, free)
+
+
+def relabel_lift(p, perm):
+    return Lift(
+        relabel(p.struct, perm),
+        p.lift_arity,
+        p.cover_mode,
+        frozenset(tuple(sorted((perm[x], perm[y]))) for x, y in p.noncollapse),
+        frozenset((name, tuple(perm[x] for x in t)) for name, t in p.free_tuples),
+    )
+
+
+def naive_lift_isomorphic(p, q):
+    """Some carrier isomorphism carries the constraints of p onto those of q."""
+    for perm in itertools.permutations(range(p.n)):
+        r = relabel_lift(p, perm)
+        if (r.struct, r.noncollapse, r.free_tuples) == (q.struct, q.noncollapse, q.free_tuples):
+            return True
+    return False
+
+
+class TestLiftCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(constrained_lifts(), st.data())
+    def test_invariant_under_relabelling(self, p, data):
+        perm = data.draw(st.permutations(range(p.n)))
+        assert lift_canonical_form(relabel_lift(p, perm)) == lift_canonical_form(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constrained_lifts(), constrained_lifts())
+    def test_separates_constraints_on_one_carrier(self, p, other):
+        # same carrier, constraints of another draw wherever they fit
+        noncollapse = frozenset((x, y) for x, y in other.noncollapse if y < p.n)
+        free = frozenset((name, t) for name, t in other.free_tuples if max(t) < p.n)
+        q = Lift(p.struct, None, "none", noncollapse, free)
+        same = lift_canonical_form(p) == lift_canonical_form(q)
+        assert same == naive_lift_isomorphic(p, q)
+
+    def test_constraints_change_the_key(self):
+        a = digraph(2, [(0, 1)])
+        plain_key = lift_canonical_form(Lift(a))
+        nc_key = lift_canonical_form(Lift(a, noncollapse=frozenset({(0, 1)})))
+        free_key = lift_canonical_form(Lift(a, free_tuples=frozenset({("E", (1, 0))})))
+        assert len({plain_key, nc_key, free_key}) == 3

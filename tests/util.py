@@ -6,9 +6,12 @@ maps, all colorings, ...) and never call the search machinery they check.
 
 import itertools
 
+from hypothesis import strategies as st
+
 from homkit.structures import Structure, make_signature
 
 DIGRAPH = make_signature([("E", 2)])
+MIXED = make_signature([("U", 1), ("E", 2), ("T", 3)])
 
 
 def digraph(n, arcs=()):
@@ -81,3 +84,33 @@ def naive_homs(a, b, mode_tag="plain", noncollapse=(), free_tuples=()):
         if naive_valid(a, b, m, mode_tag, noncollapse, free_tuples):
             out.append(m)
     return out
+
+
+def naive_isomorphic(a, b, colors_a=None, colors_b=None):
+    """Is some bijection a -> b onto every relation and colour-preserving?
+
+    Tries all |A|! bijections; colours default to one shared colour."""
+    if a.sig != b.sig or a.n != b.n:
+        return False
+    ca = colors_a if colors_a is not None else [0] * a.n
+    cb = colors_b if colors_b is not None else [0] * b.n
+    for p in itertools.permutations(range(a.n)):
+        if any(ca[x] != cb[p[x]] for x in range(a.n)):
+            continue
+        if all(
+            {tuple(p[x] for x in t) for t in ra} == rb for ra, rb in zip(a.rels, b.rels)
+        ):
+            return True
+    return False
+
+
+@st.composite
+def mixed_structures(draw, max_n=6, max_tuples=6):
+    """Structures over MIXED with at most max_n elements and max_tuples tuples a symbol."""
+    n = draw(st.integers(0, max_n))
+    rels = {}
+    for name, arity in MIXED.symbols:
+        if n:
+            slot = st.tuples(*[st.integers(0, n - 1)] * arity)
+            rels[name] = draw(st.lists(slot, max_size=max_tuples))
+    return Structure(MIXED, n, rels)
