@@ -188,7 +188,12 @@ def blocks(ctx, structure_file):
 
 @main.command()
 @click.argument("tree_file")
-@click.option("--universe-cap", default=_duality.DEFAULT_UNIVERSE_CAP, show_default=True)
+@click.option(
+    "--universe-cap",
+    default=_duality.DEFAULT_UNIVERSE_CAP,
+    show_default=True,
+    help="most elements of the dual before it is cut down to its core (the product of each tree element's tuple count)",
+)
 @click.pass_context
 def dual(ctx, tree_file, universe_cap):
     """Emit the dual template of a tree obstruction."""

@@ -1,23 +1,29 @@
 """Dual templates for forest obstructions, and brute-force duality checking.
 
-For a tree T the dual D is built from T's "merged subtrees": for a tuple e
-and a position i, the merged tree at (e, i) is e together with the full
-branches hanging off its other coordinates, rooted at coordinate i.  D's
-elements are the sets of merged-tree classes that avoid every "root
-bundle" (the complete set of merged trees around one element, whose joint
-realisability would reassemble T); a relation tuple is admitted unless it
-would force a set to contain a whole-T merged tree, and must propagate
-merged trees whenever all sub-branch constituents are present.
+For a tree T the dual D is the direct construction of Nešetřil and Tardif
+("Duality theorems for finite structures", JCTB 2000).  D's elements are
+the maps f sending each element x of T to one tuple of T that contains x.
+A tuple (f_1, ..., f_r) is in R^D unless some R-tuple e = (u_1, ..., u_r)
+of T has f_i(u_i) = e at every position i: D may not hold a copy of e in
+which every element points at e itself.
 
-The canonical map a |-> {merged trees realisable at a} witnesses A -> D
-exactly when T does not map to A; `verify_duality` checks the equivalence
-exhaustively at small sizes and is the module's acceptance gate.
+If T maps to A, a map A -> D would point each of T's n elements at a
+tuple containing it.  In a tree the tuple sizes less one sum to n - 1, so
+some tuple has every one of its elements pointing at it, and its image in
+D is blocked.  If T does not map to A, send each a in A to the map
+pointing every x at a smallest branch of T at x (a tuple with everything
+hanging off its other elements) that has no homomorphism to A sending x
+to a; that is a homomorphism A -> D.  `verify_duality` checks the
+equivalence exhaustively at small sizes and is the module's acceptance
+gate.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import math
+
+import numpy as np
 
 from .errors import GuardExceededError, NotATreeError
 from .homs import core_of, hom_exists
@@ -28,84 +34,14 @@ DEFAULT_UNIVERSE_CAP = 1 << 16
 RELATION_CAP = 1 << 22
 
 
-def _components_without_tuple(t: Structure, skip):
-    """Element components of t after deleting one tuple (as frozensets)."""
-    adj = [[] for _ in range(t.n)]
-    for si, tp in t.all_tuples():
-        if (si, tp) == skip:
-            continue
-        elems = sorted(set(tp))
-        for u, v in zip(elems, elems[1:]):
-            adj[u].append(v)
-            adj[v].append(u)
-    seen = [False] * t.n
-    comps = []
-    for s in range(t.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    q.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
-class _MergedTrees:
-    """Merged subtrees of a tree, keyed by (tuple, position)."""
-
-    def __init__(self, t: Structure):
-        self.t = t
-        self.tuples = sorted(t.all_tuples())
-        total_tuples = len(self.tuples)
-        self.info = {}  # (tuple_idx, pos) -> ("whole", None) | ("piece", canonical key)
-        self.incident = [[] for _ in range(t.n)]  # element -> [(tuple_idx, pos)]
-        for ti, (si, tp) in enumerate(self.tuples):
-            comp_of = {}
-            comps = _components_without_tuple(t, (si, tp))
-            for ci, comp in enumerate(comps):
-                for x in comp:
-                    comp_of[x] = ci
-            # tuples other than e sit entirely inside one component
-            comp_tuples = [[] for _ in comps]
-            for oi, (osi, otp) in enumerate(self.tuples):
-                if oi != ti:
-                    comp_tuples[comp_of[otp[0]]].append((osi, otp))
-            for pos, x in enumerate(tp):
-                self.incident[x].append((ti, pos))
-                elems = set(tp)
-                kept = [(si, tp)]
-                for j, y in enumerate(tp):
-                    if j != pos:
-                        elems |= comps[comp_of[y]]
-                        kept += comp_tuples[comp_of[y]]
-                if len(elems) == t.n and len(kept) == total_tuples:
-                    self.info[(ti, pos)] = ("whole", None)
-                    continue
-                order = sorted(elems)
-                idx = {e: i for i, e in enumerate(order)}
-                rels = {}
-                for ksi, ktp in kept:
-                    rels.setdefault(t.sig.names[ksi], set()).add(tuple(idx[z] for z in ktp))
-                sub = Structure(t.sig, len(order), rels)
-                root = idx[x]
-                colors = [1 if i == root else 0 for i in range(len(order))]
-                key = canonical_form(sub, colors)
-                self.info[(ti, pos)] = ("piece", key)
-
-    def alphabet(self):
-        keys = sorted({key for kind, key in self.info.values() if kind == "piece"})
-        return {key: i for i, key in enumerate(keys)}
-
-
 def tree_dual(t: Structure, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Structure:
-    """A core template D with: A -> D iff T does not map to A (verified elsewhere)."""
+    """The core of the Nešetřil–Tardif dual D of the tree T: A -> D iff T does not map to A.
+
+    D has one element per map sending each element of T to a tuple that
+    contains it, so it has the product over T's elements of their tuple
+    counts; `universe_cap` bounds that count, taken before D is cut down to
+    its core, and `RELATION_CAP` bounds each relation grid u^arity.
+    """
     if t.n < 1:
         raise NotATreeError("tree_dual needs a nonempty tree")
     found = shortest_cycle(t)
@@ -114,84 +50,28 @@ def tree_dual(t: Structure, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Structu
     if len(connected_component_elements(t)) != 1:
         raise NotATreeError("input is a forest but not connected")
 
-    merged = _MergedTrees(t)
-    alpha = merged.alphabet()
-    nbits = len(alpha)
-    if (1 << nbits) > universe_cap:
-        raise GuardExceededError(
-            f"dual universe needs 2^{nbits} candidates; cap is {universe_cap}"
-        )
-
-    def piece_bit(ti, pos):
-        kind, key = merged.info[(ti, pos)]
-        return None if kind == "whole" else 1 << alpha[key]
-
-    # root bundles: all merged trees around one element; a set containing a
-    # complete bundle could reassemble T at that element, so it is excluded
-    bundles = set()
-    for x in range(t.n):
-        bits = 0
-        inert = False
-        for ti, pos in merged.incident[x]:
-            b = piece_bit(ti, pos)
-            if b is None:
-                inert = True  # bundle mentions whole-T, never containable
-                break
-            bits |= b
-        if not inert:
-            bundles.add(bits)
-
-    universe = [s for s in range(1 << nbits) if all((s & b) != b for b in bundles)]
-    index_of = {s: i for i, s in enumerate(universe)}
-
-    # per tuple and position: premises (other positions' constituent masks)
-    # and the conclusion (required piece bit, or None for the whole-T case)
-    conds = {}
-    for ti, (si, tp) in enumerate(merged.tuples):
-        per_pos = []
-        for pos in range(len(tp)):
-            premises = []
-            for j, y in enumerate(tp):
-                if j == pos:
-                    continue
-                mask = 0
-                for tj, jpos in merged.incident[y]:
-                    if tj == ti:
-                        continue
-                    b = piece_bit(tj, jpos)
-                    assert b is not None, "branch constituents are always proper pieces"
-                    mask |= b
-                premises.append((j, mask))
-            per_pos.append((premises, piece_bit(ti, pos)))
-        conds.setdefault(si, []).append(per_pos)
+    tuples = sorted(t.all_tuples())
+    incident = [[] for _ in range(t.n)]
+    for ti, (_, tp) in enumerate(tuples):
+        for x in tp:
+            incident[x].append(ti)
+    size = math.prod(len(inc) for inc in incident)
+    if size > universe_cap:
+        raise GuardExceededError(f"dual universe needs {size} elements; cap is {universe_cap}")
+    # funcs[f, x] is the index of the tuple that map f sends x to
+    funcs = np.array(list(itertools.product(*incident)), dtype=np.int64).reshape(size, t.n)
 
     rels = {}
-    u_count = len(universe)
     for si, (name, arity) in enumerate(t.sig.symbols):
-        if si not in conds:
-            if u_count ** arity > RELATION_CAP:
-                raise GuardExceededError("dual relation grid exceeds the internal cap")
-            rels[name] = set(itertools.product(range(u_count), repeat=arity))
-            continue
-        if u_count ** arity > RELATION_CAP:
+        if size**arity > RELATION_CAP:
             raise GuardExceededError("dual relation grid exceeds the internal cap")
-        admitted = set()
-        for cand in itertools.product(universe, repeat=arity):
-            ok = True
-            for per_pos in conds[si]:
-                for pos, (premises, conclusion) in enumerate(per_pos):
-                    if all((cand[j] & m) == m for j, m in premises):
-                        if conclusion is None or not (cand[pos] & conclusion):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                admitted.add(tuple(index_of[c] for c in cand))
-        rels[name] = admitted
+        blocked = np.zeros((size,) * arity, dtype=bool)
+        for ti, (tsi, tp) in enumerate(tuples):
+            if tsi == si:  # block every tuple of maps pointing each u_i at this tuple
+                blocked[np.ix_(*(funcs[:, x] == ti for x in tp))] = True
+        rels[name] = np.argwhere(~blocked).tolist()
 
-    dual = Structure(t.sig, u_count, rels)
-    return core_of(_retract_dominated(dual))
+    return core_of(_retract_dominated(Structure(t.sig, size, rels)))
 
 
 def _retract_dominated(a: Structure) -> Structure:

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
-from .homs import core_of, hom_exists, hom_images, hom_maps
+from .homs import _collapse_map, core_of, hom_exists, hom_images, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -537,10 +537,7 @@ def injective_expansion(fam: PatternFamily, cap: int = EXPAND_CAP) -> PatternFam
         x, y = missing
         queue.append(Lift(p.struct, p.lift_arity, p.cover_mode, p.noncollapse | {(x, y)}, frozenset()))
         # collapsed variant: identify y with x, constraints carried through images
-        cmap = []
-        for z in range(n):
-            w = x if z == y else z
-            cmap.append(w - 1 if w > y else w)
+        cmap = _collapse_map(n, x, y)
         q = quotient(p.struct, cmap, n - 1)
         carried = set()
         for u, v in p.noncollapse:

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from homkit.cli import main
+from homkit.structures import Structure, is_isomorphic
 from homkit.textio import parse_family, parse_structure
 
 K2 = """
@@ -158,6 +159,17 @@ class TestUnary:
         assert res.exit_code == 0
         d = parse_structure(payload["dual"])
         assert d.n == 1 and not d.rel("E")
+
+    def test_dual_of_8_arc_path(self, tmp_path):
+        names = [f"v{i}" for i in range(9)]
+        arcs = ",".join(f"({u},{v})" for u, v in zip(names, names[1:]))
+        path = tmp_path / "path8.st"
+        path.write_text(f"signature d {{ E/2 }}\nstructure p8 : d {{ universe = {{{','.join(names)}}} ; E = {{{arcs}}} }}\n")
+        res, payload = run_json("dual", str(path))
+        assert res.exit_code == 0
+        d = parse_structure(payload["dual"])
+        tournament = Structure(d.sig, 8, {"E": [(i, j) for i in range(8) for j in range(i + 1, 8)]})
+        assert is_isomorphic(d, tournament)
 
     def test_dual_rejects_cycle(self, files):
         res = run("dual", files["triangle"])

@@ -12,12 +12,12 @@ from homkit.duality import (
     verify_duality,
 )
 from homkit.enumeration import all_structures
-from homkit.errors import NotATreeError
+from homkit.errors import GuardExceededError, NotATreeError
 from homkit.homs import check_homomorphism, hom_equivalent, hom_exists, is_core
 from homkit.shape import connected_component_elements, is_forest
 from homkit.structures import Homomorphism, induced, is_isomorphic, product
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, point
+from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, mixed_trees, point
 
 
 class TestTreeDual:
@@ -51,14 +51,30 @@ class TestTreeDual:
         with pytest.raises(NotATreeError):
             tree_dual(digraph(0))
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", range(3, 11))
     def test_directed_path_dual_is_transitive_tournament(self, k):
-        tournament = digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-        assert is_isomorphic(tree_dual(dpath(k)), tournament)
+        assert is_isomorphic(tree_dual(dpath(k)), transitive_tournament(k))
+
+    def test_universe_cap_counts_maps_to_incident_tuples(self):
+        # the 8-arc path has 7 inner elements on two arcs each: 2^7 maps
+        with pytest.raises(GuardExceededError):
+            tree_dual(dpath(8), universe_cap=127)
+        assert is_isomorphic(tree_dual(dpath(8), universe_cap=128), transitive_tournament(8))
 
     def test_outputs_are_cores(self):
         for t in [dpath(1), dpath(2), dpath(3), digraph(3, [(0, 1), (0, 2)])]:
             assert is_core(tree_dual(t))
+
+    @settings(max_examples=20, deadline=None)
+    @given(mixed_trees())
+    def test_dual_of_random_mixed_tree(self, t):
+        d = tree_dual(t)
+        assert is_core(d)
+        assert verify_duality([t], [d], 2) == (True, None)
+
+
+def transitive_tournament(k):
+    return digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
 
 def all_trees(max_n):

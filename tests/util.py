@@ -114,3 +114,25 @@ def mixed_structures(draw, max_n=6, max_tuples=6):
             slot = st.tuples(*[st.integers(0, n - 1)] * arity)
             rels[name] = draw(st.lists(slot, max_size=max_tuples))
     return Structure(MIXED, n, rels)
+
+
+@st.composite
+def mixed_trees(draw, max_n=5):
+    """Connected trees over MIXED with at most max_n elements.
+
+    Each step hangs a U-tuple on an element, or an E- or T-tuple joining one
+    element to fresh ones in a drawn coordinate order; a step that would pass
+    max_n elements is skipped.
+    """
+    n = 1
+    rels = {name: set() for name, _ in MIXED.symbols}
+    step = st.tuples(st.sampled_from(MIXED.names), st.integers(0, max_n - 1), st.permutations(range(3)))
+    for name, anchor, order in draw(st.lists(step, max_size=6)):
+        anchor %= n
+        arity = MIXED.arity(name)
+        if n + arity - 1 > max_n:
+            continue
+        elems = [anchor] + list(range(n, n + arity - 1))
+        rels[name].add(tuple(elems[i] for i in order if i < arity))
+        n += arity - 1
+    return Structure(MIXED, n, rels)
