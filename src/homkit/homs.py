@@ -1,16 +1,26 @@
 """Homomorphism search: existence, enumeration, cores, and images.
 
-The searcher is a backtracker over element assignments with forward
-checking on binary tuples, preceded by node consistency and a pairwise
-arc-consistency prefilter.  Domains are integer bitmasks over the target
-universe; all orders are static, so results are deterministic.
+Domains are integer bitmasks over the target universe.  Each call first
+makes them node consistent (all-equal tuples such as loops), then, on
+sources with more than 4 elements, arc consistent over binary tuples by
+AC-3 with an element queue (held tuples in every mode, absent pairs in
+full mode).  A backtracker then assigns elements in a static order with
+forward checking on held binary tuples, and tests what is left (absent
+pairs, tuples of arity 3 or more, noncollapse pairs) once the tuple is
+fully assigned.
+
+Values are tried in increasing order along the static element order, so
+maps come out in lexicographic order over it.  Every pruning step removes
+only values that lie in no solution, so it changes the speed but never
+which map comes first: `hom_exists` witnesses and `hom_maps` sequences do
+not depend on how much is pruned.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import GuardExceededError, SignatureMismatchError
+from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from .structures import (
     PLAIN,
     HomMode,
@@ -55,42 +65,66 @@ def check_homomorphism(h: Homomorphism) -> tuple[bool, str | None]:
 # search plans, cached per structure
 # ---------------------------------------------------------------------------
 
+# A binary constraint code is 4*symbol + kind.  For target value v, row
+# `rows[code][v]` holds the values the partner may take:
+#   kind 0: heads of v's out-tuples  (partner is the head of a held tuple)
+#   kind 1: tails of v's in-tuples   (partner is the tail of a held tuple)
+#   kind 2, 3: the complements of 0 and 1, for absent pairs in full mode
 def _target_tables(b: Structure):
+    """(relations, support rows by code, all-equal mask per symbol, full mask), cached."""
     tables = b._cache.get("target")
     if tables is not None:
         return tables
     n = b.n
-    full_mask = (1 << n) - 1 if n else 0
-    per_sym = []
-    for (name, arity), r in zip(b.sig.symbols, b.rels):
-        out = inn = None
-        nz_out = nz_inn = nfull_out = nfull_inn = 0
+    full_mask = (1 << n) - 1
+    rows = []
+    self_masks = []
+    for (_, arity), r in zip(b.sig.symbols, b.rels):
         if arity == 2:
             out = [0] * n
             inn = [0] * n
-            for (x, y) in r:
+            for x, y in r:
                 out[x] |= 1 << y
                 inn[y] |= 1 << x
-            for v in range(n):
-                if out[v]:
-                    nz_out |= 1 << v
-                if out[v] != full_mask:
-                    nfull_out |= 1 << v
-                if inn[v]:
-                    nz_inn |= 1 << v
-                if inn[v] != full_mask:
-                    nfull_inn |= 1 << v
-        self_mask = 0
-        for v in range(n):
-            if (v,) * arity in r:
-                self_mask |= 1 << v
-        per_sym.append((r, out, inn, self_mask, nz_out, nz_inn, nfull_out, nfull_inn))
-    tables = (per_sym, full_mask)
+            rows += [out, inn, [full_mask ^ m for m in out], [full_mask ^ m for m in inn]]
+        else:
+            rows += [None] * 4
+        self_masks.append(sum(1 << v for v in range(n) if (v,) * arity in r))
+    tables = (b.rels, rows, self_masks, full_mask)
     b._cache["target"] = tables
     return tables
 
 
+def _check_mode(a: Structure, mode: HomMode):
+    """Reject noncollapse pairs and free slots that do not fit the source."""
+    elems = range(a.n)
+    for pair in mode.noncollapse:
+        if not (isinstance(pair, tuple) and len(pair) == 2 and all(x in elems for x in pair)):
+            raise InvalidStructureError(f"noncollapse pair {pair!r} is not two elements of 0..{a.n - 1}")
+    arity = dict(a.sig.symbols)
+    for slot in mode.free_tuples:
+        name, t = slot if isinstance(slot, tuple) and len(slot) == 2 else (None, None)
+        if name not in arity:
+            raise InvalidStructureError(f"free slot {slot!r} names no symbol of the signature")
+        if not (isinstance(t, tuple) and len(t) == arity[name] and all(x in elems for x in t)):
+            raise InvalidStructureError(f"free slot {slot!r} is not a {name}-tuple over 0..{a.n - 1}")
+
+
 def _source_plan(a: Structure, mode: HomMode, natural: bool):
+    """Compile the source side of a search once per (structure, mode, order).
+
+    Stage s assigns element order[s].  What each stage enforces:
+    - node[x]: all-equal tuples (x, ..., x), folded into x's initial domain;
+    - fwd[s]: a held binary tuple with one later coordinate y restricts D(y)
+      to rows[code][value] as soon as its earlier coordinate is assigned;
+    - checks2[s]: full mode only, absent pairs u != v whose later coordinate
+      is assigned at s must not map onto a target tuple;
+    - checks[s]: tuples of arity 3 or more, tested once fully assigned;
+    - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
+      the earlier partner and pruned from the later partner's domain.
+    Sources with more than 4 elements also carry watch lists for the arc
+    pass: per element x, the partners and codes revised when D(x) shrinks.
+    """
     if mode.noncollapse or mode.free_tuples:
         key = ("plan", mode.tag, natural, mode.noncollapse, mode.free_tuples)
     else:
@@ -98,88 +132,70 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
     plan = a._cache.get(key)
     if plan is not None:
         return plan
+    _check_mode(a, mode)
     n = a.n
-    tuples = [(si, t) for si, t in a.all_tuples()]
+    full = mode.tag == "full"
     deg = [0] * n
-    for _, t in tuples:
-        for x in set(t):
-            deg[x] += 1
-    if natural:
-        order = list(range(n))
-    else:
-        order = sorted(range(n), key=lambda x: (-deg[x], x))
+    for r in a.rels:
+        for t in r:
+            for x in set(t):
+                deg[x] += 1
+    order = list(range(n)) if natural else sorted(range(n), key=lambda x: (-deg[x], x))
     stage_of = [0] * n
     for s, x in enumerate(order):
         stage_of[x] = s
-
     free = {(a.sig.index(name), t) for name, t in mode.free_tuples}
 
-    # per-stage tuple checks, fired once every coordinate is assigned;
-    # binary tuples get a specialised entry to avoid generic tuple building
-    checks2 = [[] for _ in range(n)]
-    checks = [[] for _ in range(n)]
-
-    def add_check(si, t, present):
-        trigger = max(stage_of[x] for x in t)
-        if len(t) == 2:
-            checks2[trigger].append((si, t[0], t[1], present))
-        else:
-            checks[trigger].append((si, t, present))
-
-    if mode.tag == "full":
-        # a free slot waives only the absence requirement: held tuples are
-        # always preserved
-        for si, (_, arity) in enumerate(a.sig.symbols):
-            ra = a.rels[si]
-            for t in itertools.product(range(n), repeat=arity):
-                if t in ra or (si, t) not in free:
-                    add_check(si, t, t in ra)
-    else:
-        for si, t in tuples:
-            add_check(si, t, True)
-
-    # forward restrictions for binary tuples with one later coordinate
-    fwd = [[] for _ in range(n)]
-    for si, t in tuples:
-        if len(t) != 2:
-            continue
-        u, v = t
-        if u == v:
-            continue
-        if stage_of[u] < stage_of[v]:
-            fwd[stage_of[u]].append((v, si, 0))  # D(v) &= out[val(u)]
-        else:
-            fwd[stage_of[v]].append((u, si, 1))  # D(u) &= inn[val(v)]
-
-    # node constraints: all-equal tuples per element and symbol
-    node = [[] for _ in range(n)]  # per element: (si, present)
+    node = [[] for _ in range(n)]  # per element: (symbol, present)
+    fwd = [[] for _ in range(n)]  # per stage: (later element, code)
+    checks2 = [[] for _ in range(n)]  # per stage: (symbol, u, v) that must stay absent
+    checks = [[] for _ in range(n)]  # per stage: (symbol, tuple, present)
+    watch = n > 4  # on smaller sources the arc pass costs more than it prunes
+    partners = [[] for _ in range(n)] if watch else None
+    codes = [[] for _ in range(n)] if watch else None
     for si, (_, arity) in enumerate(a.sig.symbols):
         ra = a.rels[si]
         for x in range(n):
             t = (x,) * arity
-            present = t in ra
-            if present or (mode.tag == "full" and (si, t) not in free):
-                node[x].append((si, present))
-
-    # pairwise constraints for the arc-consistency prefilter
-    arcs = []
-    seen = set()
-    for si, t in tuples:
-        if len(t) == 2 and t[0] != t[1] and (si, t) not in seen:
-            seen.add((si, t))
-            arcs.append((t[0], t[1], si, True))
-    if mode.tag == "full":
-        for si, (_, arity) in enumerate(a.sig.symbols):
-            if arity != 2:
+            if t in ra:
+                node[x].append((si, True))
+            elif full and (si, t) not in free:
+                node[x].append((si, False))
+        if arity == 2:
+            code = 4 * si
+            for u, v in ra:
+                if u == v:
+                    continue
+                if stage_of[u] < stage_of[v]:
+                    fwd[stage_of[u]].append((v, code))
+                else:
+                    fwd[stage_of[v]].append((u, code + 1))
+                if watch:
+                    partners[u].append(v)
+                    codes[u].append(code)
+                    partners[v].append(u)
+                    codes[v].append(code + 1)
+            if not full:
                 continue
-            ra = a.rels[si]
+            # a free slot waives only the absence requirement: held tuples
+            # are always preserved
             for u in range(n):
                 for v in range(n):
-                    if u != v and (u, v) not in ra and (si, (u, v)) not in free:
-                        arcs.append((u, v, si, False))
+                    if u == v or (u, v) in ra or (si, (u, v)) in free:
+                        continue
+                    checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
+                    if watch:
+                        partners[u].append(v)
+                        codes[u].append(code + 2)
+                        partners[v].append(u)
+                        codes[v].append(code + 3)
+        elif arity > 2:
+            slots = itertools.product(range(n), repeat=arity) if full else ra
+            for t in slots:
+                present = t in ra
+                if (present or (si, t) not in free) and t.count(t[0]) != arity:
+                    checks[max(stage_of[x] for x in t)].append((si, t, present))
 
-    # noncollapse pairs: check against the earlier partner when the later one
-    # is assigned, and prune the later partner's domain when the earlier one is
     collapse_check = [[] for _ in range(n)]
     collapse_fwd = [[] for _ in range(n)]
     for x, y in mode.noncollapse:
@@ -189,89 +205,63 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
         collapse_check[sy].append(x)
         collapse_fwd[sx].append(y)
 
-    plan = (order, stage_of, (checks2, checks), fwd, node, arcs, collapse_check, collapse_fwd)
+    watches = (partners, codes) if watch else None
+    plan = (order, checks2, checks, fwd, node, watches, collapse_check, collapse_fwd)
     a._cache[key] = plan
     return plan
 
 
-def _initial_domains(a, b, mode, plan):
-    per_sym, full_mask = _target_tables(b)
-    node, arcs = plan[4], plan[5]
+def _initial_domains(n, plan, tables):
+    """Node-consistent domains, then arc-consistent ones (AC-3); None on a wipe-out.
+
+    AC-3 keeps a queue of elements whose domain shrank; popping x revises
+    every watched partner y to D(y) &= OR of rows[code][v] over v in D(x).
+    The greatest arc-consistent domains are unique, so the queue order does
+    not matter.
+    """
+    _, rows, self_masks, full_mask = tables
+    node, watches = plan[4], plan[5]
     doms = []
-    for x in range(a.n):
+    for x in range(n):
         d = full_mask
         for si, present in node[x]:
-            sm = per_sym[si][3]
-            d &= sm if present else (full_mask & ~sm)
+            d &= self_masks[si] if present else ~self_masks[si]
         if d == 0:
             return None
         doms.append(d)
+    if watches is None:
+        return doms
 
-    # pairwise arc consistency: revise both endpoints per constraint until
-    # a full pass leaves every domain unchanged; full partner domains only
-    # need the precomputed nonzero/nonfull row masks
-    changed = bool(arcs)
-    while changed:
-        changed = False
-        for u, v, si, positive in arcs:
-            entry = per_sym[si]
-            out, inn = entry[1], entry[2]
-            dv = doms[v]
-            du = doms[u]
-            if positive:
-                if dv == full_mask:
-                    new = du & entry[4]
-                else:
-                    new = 0
-                    rest = du
-                    while rest:
-                        bit = rest & (-rest)
-                        rest ^= bit
-                        if out[bit.bit_length() - 1] & dv:
-                            new |= bit
-            elif dv == full_mask:
-                new = du & entry[6]
-            else:
-                new = 0
-                rest = du
+    partners, codes = watches
+    ncodes = len(rows)
+    support = {}  # D(x) * ncodes + code -> OR of the code's rows over D(x)
+    queue = [x for x in range(n) if partners[x]]
+    queued = [True] * n
+    while queue:
+        x = queue.pop()
+        queued[x] = False
+        dx = doms[x]
+        base = dx * ncodes
+        for y, code in zip(partners[x], codes[x]):
+            sup = support.get(base + code)
+            if sup is None:
+                sup = 0
+                row = rows[code]
+                rest = dx
                 while rest:
-                    bit = rest & (-rest)
+                    bit = rest & -rest
                     rest ^= bit
-                    if ~out[bit.bit_length() - 1] & dv:
-                        new |= bit
-            if new != du:
-                if new == 0:
+                    sup |= row[bit.bit_length() - 1]
+                support[base + code] = sup
+            dy = doms[y]
+            nd = dy & sup
+            if nd != dy:
+                if nd == 0:
                     return None
-                doms[u] = new
-                du = new
-                changed = True
-            dv0 = dv
-            if positive:
-                if du == full_mask:
-                    new = dv0 & entry[5]
-                else:
-                    new = 0
-                    rest = dv0
-                    while rest:
-                        bit = rest & (-rest)
-                        rest ^= bit
-                        if inn[bit.bit_length() - 1] & du:
-                            new |= bit
-            elif du == full_mask:
-                new = dv0 & entry[7]
-            else:
-                new = 0
-                rest = dv0
-                while rest:
-                    bit = rest & (-rest)
-                    rest ^= bit
-                    if ~inn[bit.bit_length() - 1] & du:
-                        new |= bit
-            if new != dv0:
-                if new == 0:
-                    return None
-                doms[v] = new
-                changed = True
+                doms[y] = nd
+                if not queued[y]:
+                    queued[y] = True
+                    queue.append(y)
     return doms
 
 
@@ -281,6 +271,7 @@ def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
         raise SignatureMismatchError(
             f"source and target signatures differ: {a.sig.names} vs {b.sig.names}"
         )
+    plan = _source_plan(a, mode, natural)
     n = a.n
     if n == 0:
         yield ()
@@ -289,12 +280,12 @@ def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
         return
     if mode.tag == "injective" and n > b.n:
         return
-    plan = _source_plan(a, mode, natural)
-    order, _, (checks2, checks), fwd, _, _, collapse_check, collapse_fwd = plan
-    doms = _initial_domains(a, b, mode, plan)
+    order, checks2, checks, fwd, _, _, collapse_check, collapse_fwd = plan
+    tables = _target_tables(b)
+    doms = _initial_domains(n, plan, tables)
     if doms is None:
         return
-    per_sym, _ = _target_tables(b)
+    rels, rows = tables[0], tables[1]
     injective = mode.tag == "injective"
 
     val = [-1] * n
@@ -315,14 +306,14 @@ def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
         val[x] = v
 
         ok = True
-        for si, u, w, present in checks2[s]:
-            if ((val[u], val[w]) in per_sym[si][0]) != present:
+        for si, u, w in checks2[s]:
+            if (val[u], val[w]) in rels[si]:
                 ok = False
                 break
         if ok:
             for si, t, present in checks[s]:
                 img = tuple(val[z] for z in t)
-                if (img in per_sym[si][0]) != present:
+                if (img in rels[si]) != present:
                     ok = False
                     break
         if ok:
@@ -343,9 +334,8 @@ def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
         if fwd_s or cfwd_s or injective:
             new = list(cur)
             wipe = False
-            for y, si, direction in fwd_s:
-                row = per_sym[si][1][v] if direction == 0 else per_sym[si][2][v]
-                nd = new[y] & row
+            for y, code in fwd_s:
+                nd = new[y] & rows[code][v]
                 if nd == 0:
                     wipe = True
                     break
@@ -418,9 +408,9 @@ def _find_collapse(a: Structure):
         for y in range(x + 1, a.n):
             cmap = _collapse_map(a.n, x, y)
             q = quotient(a, cmap, a.n - 1)
-            h = hom_exists(q, a)
-            if h is not None:
-                return [h.mapping[c] for c in cmap]
+            m = next(_run_search(q, a, PLAIN, natural=False), None)
+            if m is not None:
+                return [m[c] for c in cmap]
     return None
 
 

@@ -1,8 +1,11 @@
 import itertools
+import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homkit.errors import InvalidStructureError
 from homkit.homs import (
     all_homs,
     check_homomorphism,
@@ -10,6 +13,7 @@ from homkit.homs import (
     hom_equivalent,
     hom_exists,
     hom_images,
+    hom_maps,
     is_core,
 )
 from homkit.structures import (
@@ -164,6 +168,82 @@ def test_full_mode_free_slots_match_naive(instance):
     h = hom_exists(a, b, HomMode("full", free_tuples=free))
     assert (h is None) == (not got)
     assert h is None or naive_valid(a, b, h.mapping, "full", free_tuples=free)
+
+
+@st.composite
+def arc_pass_instances(draw):
+    """A 5- or 6-element source, large enough for the arc pass, a 2- or 3-element
+    target, and a mode with random noncollapse pairs and, in full mode, free slots."""
+    a = draw(mixed_structures(max_n=6, max_tuples=5, min_n=5))
+    b = draw(mixed_structures(max_n=3, max_tuples=9, min_n=2))
+    tag = draw(st.sampled_from(["plain", "injective", "full"]))
+    pairs = st.tuples(st.integers(0, a.n - 1), st.integers(0, a.n - 1)).filter(lambda p: p[0] != p[1])
+    noncollapse = draw(st.frozensets(pairs, max_size=3))
+    free = frozenset()
+    if tag == "full":
+        slots = [(name, t) for name, arity in MIXED.symbols for t in itertools.product(range(a.n), repeat=arity)]
+        free = draw(st.frozensets(st.sampled_from(slots), max_size=8))
+    return a, b, tag, noncollapse, free
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_pass_instances())
+def test_arc_pass_sources_match_naive(instance):
+    a, b, tag, noncollapse, free = instance
+    mode = HomMode(tag, noncollapse, free)
+    expected = naive_homs(a, b, tag, noncollapse, free)
+    assert list(hom_maps(a, b, mode)) == sorted(expected)
+    h = hom_exists(a, b, mode)
+    assert (h is not None) == bool(expected)
+    if h is not None:
+        ok, why = check_homomorphism(h)
+        assert ok, why
+
+
+def _transitive_tournament(k):
+    return digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def test_long_propagation_on_dag():
+    # Gallai-Roy: a DAG whose longest path has L arcs maps to the transitive
+    # tournament T_k exactly when k > L; refuting k = L takes propagation
+    # along the whole path
+    rng = random.Random(6)
+    n = 150
+    rank = list(range(n))
+    rng.shuffle(rank)
+    arcs = set()
+    while len(arcs) < 300:
+        u, v = rng.sample(range(n), 2)
+        arcs.add((u, v) if rank[u] < rank[v] else (v, u))
+    longest = [0] * n  # arcs on the longest path ending at each vertex
+    for u, v in sorted(arcs, key=lambda e: rank[e[0]]):
+        longest[v] = max(longest[v], longest[u] + 1)
+    top = max(longest)
+    g = digraph(n, arcs)
+    assert hom_exists(g, _transitive_tournament(top)) is None
+    h = hom_exists(g, _transitive_tournament(top + 1))
+    assert h is not None
+    ok, why = check_homomorphism(h)
+    assert ok, why
+
+
+@pytest.mark.parametrize(
+    "mode, named",
+    [
+        (HomMode("plain", noncollapse=frozenset({(0, 9)})), "(0, 9)"),
+        (HomMode("injective", noncollapse=frozenset({(-1, 2)})), "(-1, 2)"),
+        (HomMode("full", free_tuples=frozenset({("Z", (0, 1))})), "'Z'"),
+        (HomMode("full", free_tuples=frozenset({("E", (0, 5))})), "(0, 5)"),
+        (HomMode("plain", free_tuples=frozenset({("E", (0,))})), "('E', (0,))"),
+    ],
+)
+def test_malformed_mode_constraints_are_rejected(mode, named):
+    a = dpath(2)
+    with pytest.raises(InvalidStructureError, match=re.escape(named)):
+        hom_exists(a, clique(3), mode)
+    with pytest.raises(InvalidStructureError, match=re.escape(named)):
+        list(hom_maps(a, digraph(0), mode))
 
 
 class TestCores:

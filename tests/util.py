@@ -105,9 +105,9 @@ def naive_isomorphic(a, b, colors_a=None, colors_b=None):
 
 
 @st.composite
-def mixed_structures(draw, max_n=6, max_tuples=6):
-    """Structures over MIXED with at most max_n elements and max_tuples tuples a symbol."""
-    n = draw(st.integers(0, max_n))
+def mixed_structures(draw, max_n=6, max_tuples=6, min_n=0):
+    """Structures over MIXED with min_n to max_n elements and at most max_tuples tuples a symbol."""
+    n = draw(st.integers(min_n, max_n))
     rels = {}
     for name, arity in MIXED.symbols:
         if n:
