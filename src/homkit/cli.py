@@ -1,9 +1,12 @@
 """Command-line front end: decision pipelines over structure and formula files.
 
 Exit codes follow the answer semantics: 0 = yes/success, 1 = no/negative,
-2 = malformed input, an exceeded size guard, or an internal error (any
-other exception, reported with `error_kind: internal` and a traceback on
-stderr; a crash never exits 1, which would read as "no").  `--format
+2 = malformed input, an unreadable file, an exceeded size guard, or an
+internal error.  One policy, in the command group, covers every command:
+toolkit errors, `OSError` and `ValueError` are reported under their class
+name as `error_kind`; any other exception is reported as `error_kind:
+internal` with a traceback on stderr, since a crash must never exit 1,
+which would read as "no".  `--format
 machine` emits one JSON document mirroring the human report; embedded
 structures are serialized in the regular file grammar and re-parseable.
 """
@@ -78,14 +81,18 @@ def _fail(ctx, command, exc, kind=None):
 
 
 class _Group(click.Group):
-    """Reports an exception escaping a command with exit 2, never 1."""
+    """Reports an exception escaping a command with exit 2, never 1.
+
+    Toolkit errors, unreadable files and malformed values are reported by
+    class name; anything else is an internal error, with a traceback.
+    """
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (click.exceptions.Exit, click.ClickException, click.Abort):
             raise
-        except HomkitError as e:
+        except (HomkitError, OSError, ValueError) as e:
             _fail(ctx, ctx.invoked_subcommand, e)
         except Exception as e:
             click.echo(traceback.format_exc(), err=True, nl=False)
@@ -109,13 +116,9 @@ def main(ctx, fmt):
 def hom(ctx, source_file, target_file, mode):
     """Decide SOURCE -> TARGET; print a witness map when one exists."""
     rep = Report("hom")
-    try:
-        a = _load_structure(source_file)
-        b = _load_structure(target_file)
-        h = _homs.hom_exists(a, b, mode_from_tag(mode))
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "hom", e)
-        return
+    a = _load_structure(source_file)
+    b = _load_structure(target_file)
+    h = _homs.hom_exists(a, b, mode_from_tag(mode))
     if h is None:
         rep.say("no homomorphism")
         rep.put("exists", False)
@@ -132,12 +135,8 @@ def hom(ctx, source_file, target_file, mode):
 def core(ctx, structure_file):
     """Print the core of the structure."""
     rep = Report("core")
-    try:
-        a = _load_structure(structure_file)
-        c = _homs.core_of(a)
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "core", e)
-        return
+    a = _load_structure(structure_file)
+    c = _homs.core_of(a)
     text = textio.serialize_structure(c, "core")
     rep.say(text.rstrip())
     rep.put("size", c.n)
@@ -151,12 +150,8 @@ def core(ctx, structure_file):
 def girth(ctx, structure_file):
     """Print the girth (the word `infinity` for forests)."""
     rep = Report("girth")
-    try:
-        a = _load_structure(structure_file)
-        g = _shape.girth(a)
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "girth", e)
-        return
+    a = _load_structure(structure_file)
+    g = _shape.girth(a)
     out = "infinity" if g == math.inf else str(g)
     rep.say(out)
     rep.put("girth", out)
@@ -170,12 +165,8 @@ def girth(ctx, structure_file):
 def blocks(ctx, structure_file):
     """List the biconnected components."""
     rep = Report("blocks")
-    try:
-        a = _load_structure(structure_file)
-        blks = _shape.biconnected_components(a)
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "blocks", e)
-        return
+    a = _load_structure(structure_file)
+    blks = _shape.biconnected_components(a)
     rep.put("count", len(blks))
     out = []
     for i, b in enumerate(blks):
@@ -198,12 +189,8 @@ def blocks(ctx, structure_file):
 def dual(ctx, tree_file, universe_cap):
     """Emit the dual template of a tree obstruction."""
     rep = Report("dual")
-    try:
-        t = _load_structure(tree_file)
-        d = _duality.tree_dual(t, universe_cap)
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "dual", e)
-        return
+    t = _load_structure(tree_file)
+    d = _duality.tree_dual(t, universe_cap)
     rep.say(textio.serialize_structure(d, "dual").rstrip())
     rep.embed_structure("dual", d, "dual")
     rep.finish(ctx, 0)
@@ -215,12 +202,8 @@ def dual(ctx, tree_file, universe_cap):
 def fp_decide(ctx, family_file):
     """Is the family's language a finite union of CSPs?"""
     rep = Report("fp-decide")
-    try:
-        fam = _load_family(family_file)
-        out = _patterns.decide_finite_union_csp(fam)
-    except (HomkitError, OSError, ValueError) as e:
-        _fail(ctx, "fp-decide", e)
-        return
+    fam = _load_family(family_file)
+    out = _patterns.decide_finite_union_csp(fam)
     rep.put("verdict", out.verdict)
     if out.note:
         rep.say(f"note: {out.note}")
@@ -250,13 +233,9 @@ def fp_decide(ctx, family_file):
 def fp_member(ctx, family_file, structure_file):
     """Does the structure belong to the family's language?"""
     rep = Report("fp-member")
-    try:
-        fam = _load_family(family_file)
-        a = _load_structure(structure_file)
-        w = _patterns.fp_membership(a, fam)
-    except (HomkitError, OSError, ValueError) as e:
-        _fail(ctx, "fp-member", e)
-        return
+    fam = _load_family(family_file)
+    a = _load_structure(structure_file)
+    w = _patterns.fp_membership(a, fam)
     if w is None:
         rep.say("not a member: every lift admits a forbidden pattern")
         rep.put("member", False)
@@ -275,11 +254,7 @@ def fp_member(ctx, family_file, structure_file):
 def snp_compile(ctx, formula_file, category):
     """Compile a formula into a forbidden-lift family."""
     rep = Report("snp-compile")
-    try:
-        phi = _snp.parse_snp(_read(formula_file))
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "snp-compile", e)
-        return
+    phi = _snp.parse_snp(_read(formula_file))
     translate = {
         "general": _snp.to_lifts_general,
         "injective": _snp.to_lifts_injective,
@@ -300,10 +275,6 @@ def snp_compile(ctx, formula_file, category):
             },
         )
         rep.finish(ctx, 1)
-        return
-    except HomkitError as e:
-        _fail(ctx, "snp-compile", e)
-        return
     text = textio.serialize_family(fam, "compiled")
     rep.say(text.rstrip())
     rep.put("family", text)
@@ -318,13 +289,9 @@ def snp_compile(ctx, formula_file, category):
 def snp_eval(ctx, formula_file, structure_file):
     """Model-check a formula on a structure."""
     rep = Report("snp-eval")
-    try:
-        phi = _snp.parse_snp(_read(formula_file))
-        a = _load_structure(structure_file)
-        value = _snp.eval_snp(phi, a)
-    except (HomkitError, OSError) as e:
-        _fail(ctx, "snp-eval", e)
-        return
+    phi = _snp.parse_snp(_read(formula_file))
+    a = _load_structure(structure_file)
+    value = _snp.eval_snp(phi, a)
     rep.say("satisfied" if value else "not satisfied")
     rep.put("satisfied", value)
     rep.finish(ctx, 0 if value else 1)
@@ -337,14 +304,10 @@ def snp_eval(ctx, formula_file, structure_file):
 def fv_reduce(ctx, family_file, structure_file):
     """Translate an instance into the block-relation CSP."""
     rep = Report("fv-reduce")
-    try:
-        fam = _load_family(family_file)
-        a = _load_structure(structure_file)
-        basis = _fv.build_basis(fam)
-        image, gfam, templates = _fv.reduce_forward(a, fam, basis)
-    except (HomkitError, OSError, ValueError) as e:
-        _fail(ctx, "fv-reduce", e)
-        return
+    fam = _load_family(family_file)
+    a = _load_structure(structure_file)
+    basis = _fv.build_basis(fam)
+    image, gfam, templates = _fv.reduce_forward(a, fam, basis)
     rep.say(f"basis blocks: {len(basis.blocks)}; derived patterns: {len(gfam.patterns)}")
     rep.say(textio.serialize_structure(image, "image").rstrip())
     rep.put("image", textio.serialize_structure(image, "image"))
@@ -375,15 +338,11 @@ def fv_reduce(ctx, family_file, structure_file):
 def sparse(ctx, structure_file, target_size, min_girth, fiber_size, density, seed, attempts):
     """Emit a certified high-girth replacement."""
     rep = Report("sparse")
-    try:
-        a = _load_structure(structure_file)
-        params = _sparse.SparseParams(
-            target_size, min_girth, fiber_size, density, seed, attempts
-        )
-        b = _sparse.sparse_replace(a, params)
-    except (HomkitError, OSError, ValueError) as e:
-        _fail(ctx, "sparse", e)
-        return
+    a = _load_structure(structure_file)
+    params = _sparse.SparseParams(
+        target_size, min_girth, fiber_size, density, seed, attempts
+    )
+    b = _sparse.sparse_replace(a, params)
     rep.say(textio.serialize_structure(b, "sparse").rstrip())
     rep.embed_structure("result", b, "sparse")
     rep.put("size", b.n)
@@ -405,30 +364,26 @@ def sparse(ctx, structure_file, target_size, min_girth, fiber_size, density, see
 def verify(ctx, kind, forb, duals, family_file, templates, source, replacement, target_size, min_girth, max_size):
     """Brute-force checks of duality, shadow duality, or sparse replacement."""
     rep = Report(f"verify-{kind}")
-    try:
-        if kind == "duality":
-            f = [_load_structure(p) for p in forb]
-            d = [_load_structure(p) for p in duals]
-            ok, cex = _duality.verify_duality(f, d, max_size)
-        elif kind == "shadow":
-            if family_file is None:
-                raise click.UsageError("verify shadow needs --family")
-            fam = _load_family(family_file)
-            t = [_load_structure(p) for p in templates]
-            ok, cex = _patterns.verify_shadow_duality(fam, t, max_size)
-        else:
-            if source is None or replacement is None or target_size is None or min_girth is None:
-                raise click.UsageError("verify sparse needs --source --replacement --k --ell")
-            a = _load_structure(source)
-            b = _load_structure(replacement)
-            ok, cex = _sparse.verify_sparse(a, b, target_size, min_girth)
-            if not ok:
-                clause, witness = cex
-                rep.put("failed_clause", clause)
-                cex = witness if hasattr(witness, "sig") else None
-    except (HomkitError, OSError, ValueError) as e:
-        _fail(ctx, f"verify-{kind}", e)
-        return
+    if kind == "duality":
+        f = [_load_structure(p) for p in forb]
+        d = [_load_structure(p) for p in duals]
+        ok, cex = _duality.verify_duality(f, d, max_size)
+    elif kind == "shadow":
+        if family_file is None:
+            raise click.UsageError("verify shadow needs --family")
+        fam = _load_family(family_file)
+        t = [_load_structure(p) for p in templates]
+        ok, cex = _patterns.verify_shadow_duality(fam, t, max_size)
+    else:
+        if source is None or replacement is None or target_size is None or min_girth is None:
+            raise click.UsageError("verify sparse needs --source --replacement --k --ell")
+        a = _load_structure(source)
+        b = _load_structure(replacement)
+        ok, cex = _sparse.verify_sparse(a, b, target_size, min_girth)
+        if not ok:
+            clause, witness = cex
+            rep.put("failed_clause", clause)
+            cex = witness if hasattr(witness, "sig") else None
     if ok:
         rep.say("verified")
         rep.put("verified", True)

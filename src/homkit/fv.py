@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, GirthTooSmallError
-from .homs import hom_exists, hom_maps
-from .patterns import PatternFamily, pattern_color_map
+from .homs import _set_partitions, hom_maps
+from .patterns import PatternFamily, _minimal_patterns, pattern_color_map
 from .shape import biconnected_components, shortest_cycle
 from .structures import (
     Lift,
@@ -96,16 +96,10 @@ def theta(b: Structure, basis: BasisSignature) -> Structure:
     return Structure(base, b.n, rels, b.element_names)
 
 
-def _strip_colors(struct: Structure, to_sig: Signature) -> Structure:
-    rels = {name: struct.rel(name) for name, _ in to_sig.base_symbols()}
-    return Structure(to_sig.base(), struct.n, rels, struct.element_names)
-
-
 def psi_lifted(a_lift: Lift, basis: BasisSignature) -> Lift:
     """psi on the shadow, colors carried along unchanged."""
     a = a_lift.struct
-    sh = _strip_colors(a, a.sig)
-    core = psi(sh, basis)
+    core = psi(shadow(a), basis)
     rels = {name: core.rel(name) for name, _ in basis.beta.symbols}
     for name, _ in a.sig.lift_symbols():
         rels[name] = a.rel(name)
@@ -114,8 +108,7 @@ def psi_lifted(a_lift: Lift, basis: BasisSignature) -> Lift:
 
 def theta_lifted(b_lift: Lift, basis: BasisSignature) -> Lift:
     b = b_lift.struct
-    sh = _strip_colors(b, b.sig)
-    core = theta(sh, basis)
+    core = theta(shadow(b), basis)
     rels = {name: core.rel(name) for name, _ in core.sig.symbols}
     for name, _ in b.sig.lift_symbols():
         rels[name] = b.rel(name)
@@ -130,33 +123,12 @@ def girth_threshold(fam: PatternFamily) -> int:
     return max((p.struct.n for p in fam.patterns), default=0)
 
 
-def _color_compatible_partitions(p: Lift, fam: PatternFamily):
-    """Set partitions of the pattern's universe collapsing equal colors only."""
-    cmap = pattern_color_map(fam, p)
-    if cmap is None:
-        return
-    color_of = {t[0]: c for t, c in cmap.items()}
-    n = p.struct.n
-    assign = [0] * n
-
-    def rec(i, maxcls):
-        if i == n:
-            yield list(assign), maxcls + 1
-            return
-        for c in range(maxcls + 2):
-            ok = True
-            for j in range(i):
-                if assign[j] == c and color_of.get(j) != color_of.get(i):
-                    ok = False
-                    break
-            if ok:
-                assign[i] = c
-                yield from rec(i + 1, max(maxcls, c))
-
-    if n == 0:
-        yield [], 0
-        return
-    yield from rec(1, 0)
+def _color_compatible_partitions(n: int, color_of):
+    """Set partitions of range(n) whose classes hold equally colored elements only."""
+    for assign, m in _set_partitions(n):
+        first = {}
+        if all(first.setdefault(c, color_of.get(x)) == color_of.get(x) for x, c in enumerate(assign)):
+            yield assign, m
 
 
 def _tuple_candidates(basis: BasisSignature, sym_name: str, t, n_core):
@@ -213,7 +185,7 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
             continue
         color_of = {t[0]: c for t, c in cmap.items()}
         sh = shadow(p)
-        for assign, m in _color_compatible_partitions(p, fam):
+        for assign, m in _color_compatible_partitions(p.struct.n, color_of):
             h = quotient(sh, assign, m)
             core_colors = {}
             for x in range(p.struct.n):
@@ -261,20 +233,7 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
                     if len(members) > cap:
                         raise GuardExceededError("member count exceeds the cap")
     pats = sorted(members.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
-    minimal = []
-    for i, p in enumerate(pats):
-        dominated = False
-        for j, q in enumerate(pats):
-            if i == j:
-                continue
-            if hom_exists(q.struct, p.struct) is not None:
-                if hom_exists(p.struct, q.struct) is not None and i < j:
-                    continue
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(p)
-    return PatternFamily(basis.lifted, tuple(minimal), "plain", 1)
+    return PatternFamily(basis.lifted, _minimal_patterns(pats), "plain", 1)
 
 
 def reduce_forward(a: Structure, fam: PatternFamily, basis=None, duality_caps=None):

@@ -80,12 +80,14 @@ class PatternFamily:
 
     @functools.cached_property
     def _compiled(self):
-        """(shadow, colored cells, HomMode) of each pattern a partition lift can contain.
+        """The occurrence program of each pattern a partition lift can contain.
 
-        A cell is (getter, color index): the getter reads the image of one
-        colored r-tuple off a mapping tuple, as a bare element when r = 1.
-        Built on first use and kept for the family's lifetime, so membership
-        calls share the shadows and the search plans cached on them.
+        A program, as `_walk_occurrences` reads it, is (shadow, HomMode,
+        absent slots, cells); patterns have no absent slots, and a cell
+        (getter, 0, color index) reads the image of one colored r-tuple off
+        a mapping tuple, as a bare element when r = 1.  Built on first use
+        and kept for the family's lifetime, so membership calls share the
+        shadows and the search plans cached on them.
         """
         out = []
         for p in self.patterns:
@@ -97,8 +99,8 @@ class PatternFamily:
                 # uncolored pattern tuple would need a colorless image, which a
                 # partition lift never provides
                 continue
-            cells = tuple((operator.itemgetter(*t), ci) for t, ci in cmap.items())
-            out.append((shadow(p), cells, self.pattern_mode(p)))
+            cells = tuple((operator.itemgetter(*t), 0, ci) for t, ci in cmap.items())
+            out.append((shadow(p), self.pattern_mode(p), (), cells))
         return tuple(out)
 
 
@@ -222,6 +224,35 @@ def solve_nogoods(nvars: int, k: int, nogoods):
     return value
 
 
+def _walk_occurrences(programs, a: Structure, spaces):
+    """The nogoods that occurrences of compiled programs in `a` impose, or None.
+
+    A program is (shadow, HomMode, absent slots, cells).  Every map
+    `hom_maps` yields from the shadow into `a` whose absent slots
+    (symbol index, tuple) all map onto tuples missing from `a` is an
+    occurrence.  Its cells (getter, space, value) give the literals
+    `spaces[space][getter(map)] = value`: a fragment that gives one variable
+    two values can never hold and is dropped, and an empty fragment is an
+    unconditional occurrence, for which the walk returns None.  Otherwise
+    the distinct fragments come back sorted, ready for `solve_nogoods`.
+    """
+    rels = a.rels
+    nogoods = set()
+    for sh, mode, absent, cells in programs:
+        for m in hom_maps(sh, a, mode):
+            if absent and any(tuple([m[x] for x in t]) in rels[si] for si, t in absent):
+                continue
+            frag = {}
+            for get, space, value in cells:
+                if frag.setdefault(spaces[space][get(m)], value) != value:
+                    break  # two cells land on one variable with different values
+            else:
+                if not frag:
+                    return None
+                nogoods.add(frozenset(frag.items()))
+    return sorted(nogoods, key=sorted)
+
+
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
     """A partition lift of `a` avoiding every pattern, or None.
 
@@ -243,18 +274,10 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
         )
     # keyed like the compiled getters' output: bare elements when r = 1
     slot_index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
-    nogoods = set()
-    for psh, cells, mode in fam._compiled:
-        for m in hom_maps(psh, a, mode):
-            frag = {}
-            for get, ci in cells:
-                if frag.setdefault(slot_index[get(m)], ci) != ci:
-                    break  # two pattern tuples land on one slot with different colors
-            else:
-                if not frag:
-                    return None  # an unconditional occurrence: no lift can avoid it
-                nogoods.add(frozenset(frag.items()))
-    coloring = solve_nogoods(len(slots), len(colors), sorted(nogoods, key=sorted))
+    nogoods = _walk_occurrences(fam._compiled, a, (slot_index,))
+    if nogoods is None:
+        return None
+    coloring = solve_nogoods(len(slots), len(colors), nogoods)
     if coloring is None:
         return None
     return make_partition_lift(fam, a, dict(zip(slots, coloring)))
@@ -307,20 +330,26 @@ def normalize_family(fam: PatternFamily, cap: int = NORMALIZE_CAP) -> PatternFam
         c = Lift(core_of(img.struct), fam.lift_arity, "none")
         cored.setdefault(lift_canonical_form(c), c)
     pats = sorted(cored.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+    return PatternFamily(fam.sig, _minimal_patterns(pats), fam.mode_tag, fam.lift_arity)
+
+
+def _minimal_patterns(pats) -> tuple:
+    """The patterns into which no other pattern maps, in their given order.
+
+    p is dropped when some q maps into it, unless the two are
+    hom-equivalent and p comes first: each hom-equivalence class keeps its
+    first member.
+    """
     minimal = []
     for i, p in enumerate(pats):
-        dominated = False
         for j, q in enumerate(pats):
             if i != j and hom_exists(q.struct, p.struct) is not None:
-                # q maps into p; drop p unless they are hom-equivalent and
-                # p is the earlier representative
-                if hom_exists(p.struct, q.struct) is not None and i < j:
+                if i < j and hom_exists(p.struct, q.struct) is not None:
                     continue
-                dominated = True
                 break
-        if not dominated:
+        else:
             minimal.append(p)
-    return PatternFamily(fam.sig, tuple(minimal), fam.mode_tag, fam.lift_arity)
+    return tuple(minimal)
 
 
 @dataclass(frozen=True)

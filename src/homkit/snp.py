@@ -3,20 +3,23 @@
 A formula is an existential second-order prefix (the proof relations)
 over a universal first-order conjunction of negated clauses; each clause
 splits into input atoms, proof atoms, and inequalities.  Clause variables
-are scoped per clause.  Model checking is exact: one proof bit per proof
-atom over the universe, and each clause instance whose input part holds
-forbids its proof part as a nogood over those bits.  `solve_nogoods`, the
-solver behind forbidden-pattern membership, decides the bits with k = 2.
+are scoped per clause.  Model checking is exact: each clause compiles
+once into a shadow, and `eval_snp` walks the clause shadows with
+`hom_maps` through the membership walker, each occurrence forbidding its
+proof part as a nogood over the proof bits, which `solve_nogoods` decides
+with k = 2.  The translations read clauses as evaluation does.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
-from .patterns import PatternFamily, _dedup_lifts, solve_nogoods
-from .structures import Lift, Signature, Structure
+from .patterns import PatternFamily, _dedup_lifts, _walk_occurrences, solve_nogoods
+from .structures import HomMode, Lift, Signature, Structure
 
 PRIMITIVIZE_CAP = 1 << 14
 EVAL_BITS_CAP = 20
@@ -56,11 +59,29 @@ class SNPFormula:
     proof: tuple  # ((name, arity), ...)
     clauses: tuple
 
-    def proof_arity(self, name):
-        for n, a in self.proof:
-            if n == name:
-                return a
-        raise KeyError(name)
+    @functools.cached_property
+    def _compiled(self):
+        """Occurrence programs of the clauses that can fire, built on first use.
+
+        A clause's shadow has its variables as elements and its positive
+        input atoms as tuples; its inequalities are noncollapse pairs, its
+        negated input atoms absent slots, and each proof atom a cell
+        (getter, proof symbol, polarity).
+        """
+        out = []
+        for c in self.clauses:
+            read = _read_clause(c)
+            if read is None:
+                continue
+            var_ix, held, absent, noncollapse = read
+            sh = Structure(self.input_sig, len(c.variables), held, c.variables)
+            absent = tuple((self.input_sig.index(sym), t) for sym, t in absent)
+            cells = tuple(
+                (operator.itemgetter(*(var_ix[v] for v in at.args)), at.symbol, at.positive)
+                for at in c.beta
+            )
+            out.append((sh, HomMode("plain", noncollapse), absent, cells))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -89,24 +110,18 @@ def parse_snp(text: str) -> SNPFormula:
     ts.expect("snp")
     ts.expect_kind("name")
     ts.expect("{")
-    ts.expect("input")
-    ts.expect("{")
-    input_syms = []
-    while not ts.at("}"):
-        sym = ts.expect_kind("name").text
-        ts.expect("/")
-        input_syms.append((sym, int(ts.expect_kind("int").text)))
-    ts.expect("}")
-    ts.expect("proof")
-    ts.expect("{")
-    proof = []
-    while not ts.at("}"):
-        sym = ts.expect_kind("name").text
-        ts.expect("/")
-        proof.append((sym, int(ts.expect_kind("int").text)))
-    ts.expect("}")
+    decls = {}
+    for block in ("input", "proof"):
+        ts.expect(block)
+        ts.expect("{")
+        decls[block] = []
+        while not ts.at("}"):
+            sym = ts.expect_kind("name").text
+            ts.expect("/")
+            decls[block].append((sym, int(ts.expect_kind("int").text)))
+        ts.expect("}")
+    input_syms, proof = decls["input"], tuple(decls["proof"])
     sig = Signature(tuple(input_syms))
-    proof = tuple(proof)
     pnames = {n for n, _ in proof}
     arities = dict(input_syms) | dict(proof)
     if len(arities) != len(input_syms) + len(proof):
@@ -190,46 +205,45 @@ def serialize_snp(phi: SNPFormula, name: str = "phi") -> str:
 # model checking
 # ---------------------------------------------------------------------------
 
+def _read_clause(c: Clause):
+    """(variable index, held input tuples by symbol, absent input slots,
+    noncollapse pairs), or None if the clause asks for a proof atom with
+    both polarities, an input slot both present and absent, or x != x.
+    """
+    if _beta_contradictory(c.beta) or any(x == y for x, y in c.epsilon):
+        return None
+    var_ix = {v: i for i, v in enumerate(c.variables)}
+    held = {}
+    absent = set()
+    for at in c.alpha:
+        t = tuple(var_ix[v] for v in at.args)
+        if at.positive:
+            held.setdefault(at.symbol, set()).add(t)
+        else:
+            absent.add((at.symbol, t))
+    if any((sym, t) in absent for sym, tps in held.items() for t in tps):
+        return None
+    noncollapse = frozenset(tuple(sorted((var_ix[x], var_ix[y]))) for x, y in c.epsilon)
+    return var_ix, held, absent, noncollapse
+
+
 def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     """Does some choice of proof relations satisfy every clause on `a`?"""
     if a.sig != phi.input_sig:
         raise SignatureMismatchError("structure signature differs from the formula's input part")
     n = a.n
-    bits = 0
-    var_of = {}
-    for pname, par in phi.proof:
-        for t in itertools.product(range(n), repeat=par):
-            var_of[(pname, t)] = bits
-            bits += 1
+    bits = sum(n**par for _, par in phi.proof)
     if bits > bits_cap:
         raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
-
-    nogoods = set()
-    input_rels = {name: a.rel(name) for name, _ in a.sig.symbols}
-    for c in phi.clauses:
-        vs = c.variables
-        for valuation in itertools.product(range(n), repeat=len(vs)):
-            env = dict(zip(vs, valuation))
-            if any(env[x] == env[y] for x, y in c.epsilon):
-                continue
-            ok = True
-            for at in c.alpha:
-                holds = tuple(env[v] for v in at.args) in input_rels[at.symbol]
-                if holds != at.positive:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            nogood = {}
-            for at in c.beta:
-                var = var_of[(at.symbol, tuple(env[v] for v in at.args))]
-                if nogood.setdefault(var, at.positive) != at.positive:
-                    break  # beta mentions both polarities: never violated
-            else:
-                if not nogood:
-                    return False  # input-only violation: no proof can help
-                nogoods.add(frozenset(nogood.items()))
-    return solve_nogoods(bits, 2, sorted(nogoods, key=sorted)) is not None
+    spaces = {}
+    first = 0
+    for pname, par in phi.proof:
+        # keyed like the compiled getters' output: bare elements for arity 1
+        tuples = itertools.product(range(n), repeat=par)
+        spaces[pname] = {t[0] if par == 1 else t: first + i for i, t in enumerate(tuples)}
+        first += n**par
+    nogoods = _walk_occurrences(phi._compiled, a, spaces)
+    return nogoods is not None and solve_nogoods(bits, 2, nogoods) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -381,49 +395,31 @@ def _lifted_signature(phi: SNPFormula, r: int):
 
 
 def _clause_pattern(phi, c, sig, subs, r, full_mode=False):
-    """The forbidden lift of one primitive clause; None if vacuous."""
-    if _beta_contradictory(c.beta):
+    """The forbidden lift of one primitive clause; None if it never fires."""
+    read = _read_clause(c)
+    if read is None:
         return None
-    var_ix = {v: i for i, v in enumerate(c.variables)}
+    var_ix, rels, absent, noncollapse = read
     n = len(c.variables)
-    rels = {}
-    absent = set()
-    for at in c.alpha:
-        t = tuple(var_ix[v] for v in at.args)
-        if at.positive:
-            rels.setdefault(at.symbol, set()).add(t)
-        else:
-            absent.add((at.symbol, t))
-    for sym, tps in rels.items():
-        if any((sym, t) in absent for t in tps):
-            return None  # a slot required both present and absent
     pidx = {name: i for i, (name, _) in enumerate(phi.proof)}
     membership = {}
     for at in c.beta:
-        t = tuple(var_ix[v] for v in at.args)
         if at.positive:
+            t = tuple(var_ix[v] for v in at.args)
             membership[t] = membership.get(t, 0) | (1 << pidx[at.symbol])
-        else:
-            membership.setdefault(t, 0)
-    for t in itertools.product(range(n), repeat=r):
-        m = membership.get(t, 0)
-        rels.setdefault(subs[m], set()).add(t)
-    struct = Structure(sig, n, rels, c.variables)
-    noncollapse = frozenset(
-        tuple(sorted((var_ix[x], var_ix[y]))) for x, y in c.epsilon
-    )
     free = frozenset()
     if full_mode:
         # slots not mentioned by the clause carry no polarity requirement
-        mentioned = absent | {
-            (sym, t) for sym, tps in rels.items() if sym not in subs for t in tps
-        }
+        mentioned = absent | {(sym, t) for sym, tps in rels.items() for t in tps}
         free = frozenset(
             (sym, t)
             for sym, ar in phi.input_sig.symbols
             for t in itertools.product(range(n), repeat=ar)
             if (sym, t) not in mentioned
         )
+    for t in itertools.product(range(n), repeat=r):
+        rels.setdefault(subs[membership.get(t, 0)], set()).add(t)
+    struct = Structure(sig, n, rels, c.variables)
     return Lift(struct, r, "partition", noncollapse, free)
 
 

@@ -237,26 +237,13 @@ class Lift:
             r = self.lift_arity
             if r is None or r < 1:
                 raise InvalidStructureError("covering lifts need a positive lift_arity")
-            for name, arity in sig.lift_symbols():
-                if arity != r:
-                    raise InvalidStructureError(
-                        f"lift symbol {name} has arity {arity}, expected lift_arity {r}"
-                    )
-            counts = self._cover_counts()
+            counts = _cover_counts(self.struct, r)
             if self.cover_mode == "covering" and any(c == 0 for c in counts.values()):
                 missing = min(t for t, c in counts.items() if c == 0)
                 raise InvalidStructureError(f"tuple {missing} carries no lift relation; lift is not covering")
             if self.cover_mode == "partition" and any(c != 1 for c in counts.values()):
                 bad = min(t for t, c in counts.items() if c != 1)
                 raise InvalidStructureError(f"tuple {bad} carries {counts[bad]} lift relations; not a partition")
-
-    def _cover_counts(self):
-        s = self.struct
-        counts = {t: 0 for t in itertools.product(range(s.n), repeat=self.lift_arity)}
-        for name, _ in s.sig.lift_symbols():
-            for t in s.rel(name):
-                counts[t] += 1
-        return counts
 
     @property
     def n(self) -> int:
@@ -266,16 +253,20 @@ class Lift:
         return f"Lift({self.struct!r}, r={self.lift_arity}, {self.cover_mode})"
 
 
-def classify_cover(struct: Structure, r: int) -> str:
-    """How the lift relations cover the r-tuples: partition, covering, or none."""
+def _cover_counts(struct: Structure, r: int) -> dict:
+    """How many lift relations hold each r-tuple; every lift symbol must have arity r."""
+    counts = {t: 0 for t in itertools.product(range(struct.n), repeat=r)}
     for name, arity in struct.sig.lift_symbols():
         if arity != r:
             raise InvalidStructureError(f"lift symbol {name} has arity {arity}, expected lift_arity {r}")
-    counts = {t: 0 for t in itertools.product(range(struct.n), repeat=r)}
-    for name, _ in struct.sig.lift_symbols():
         for t in struct.rel(name):
             counts[t] += 1
-    values = set(counts.values())
+    return counts
+
+
+def classify_cover(struct: Structure, r: int) -> str:
+    """How the lift relations cover the r-tuples: partition, covering, or none."""
+    values = set(_cover_counts(struct, r).values())
     if values <= {1}:
         return "partition"
     if 0 not in values:

@@ -208,9 +208,9 @@ def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
                     y = ts.expect_kind("name")
                     if y.text not in elem_ids:
                         raise ParseError(f"element {y.text!r} not in universe", y.line, y.column)
-                    pair = tuple(sorted((elem_ids[x.text], elem_ids[y.text])))
-                    if pair[0] != pair[1]:
-                        noncollapse.add(pair)
+                    if x.text == y.text:
+                        raise ParseError(f"constraint {x.text} != {x.text} can never hold", x.line, x.column)
+                    noncollapse.add(tuple(sorted((elem_ids[x.text], elem_ids[y.text]))))
             ts.expect("}")
         else:
             if key.text not in sig.names:

@@ -134,6 +134,15 @@ class TestHom:
         assert "error (internal)" in res.stdout
 
 
+    @pytest.mark.parametrize("command", ["hom", "snp-eval"])
+    def test_missing_file_exits_2(self, files, tmp_path, command):
+        first = files["k2"] if command == "hom" else files["three_col.snp"]
+        res, payload = run_json(command, first, str(tmp_path / "missing.st"))
+        assert res.exit_code == 2
+        assert payload["error_kind"] == "FileNotFoundError"
+        assert payload["command"] == command
+
+
 class TestUnary:
     def test_girth_triangle(self, files):
         res = run("girth", files["triangle"])
@@ -225,6 +234,14 @@ class TestFamilies:
         )
         res = run("fp-member", str(empty), files["k3"])
         assert res.exit_code == 2
+
+
+    def test_fp_member_self_inequality(self, files, tmp_path):
+        bad = tmp_path / "bad.fam"
+        bad.write_text(TRIANGLE_FREE_FAMILY.replace("C = {x,y,z} }", "C = {x,y,z} ; constraints { x != x } }"))
+        res, payload = run_json("fp-member", str(bad), files["k3"])
+        assert res.exit_code == 2
+        assert payload["error_kind"] == "ParseError"
 
 
 class TestSnp:

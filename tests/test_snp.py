@@ -1,11 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from homkit import snp
 from homkit.enumeration import all_structures
 from homkit.errors import ParseError
 from homkit.patterns import fp_membership
 from homkit.snp import (
+    Atom,
+    Clause,
+    SNPFormula,
     eval_snp,
     parse_snp,
     primitivize,
@@ -17,8 +22,9 @@ from homkit.snp import (
     to_lifts_injective,
     uniformize_arity,
 )
+from homkit.structures import Structure
 
-from util import DIGRAPH, clique, digraph
+from util import DIGRAPH, MIXED, clique, digraph, mixed_structures
 
 TWO_TRIANGLE_FREE = """
 snp two_triangle_free {
@@ -143,6 +149,68 @@ def test_eval_matches_brute_force(text):
     phi = parse_snp(text)
     for a in all_structures(DIGRAPH, 3):
         assert eval_snp(phi, a) == _brute_eval(phi, a), (text, a)
+
+
+MIXED_PROOF = (("P", 1), ("Q", 2))
+
+
+@st.composite
+def mixed_formulas(draw):
+    """Formulas over MIXED with proof symbols P/1 and Q/2.
+
+    Atoms draw their arguments from three variables, so they repeat
+    variables (T(x,x,y)); input atoms may be negated, inequalities join
+    distinct variables, and a variable may occur in proof atoms only.
+    """
+    arity = dict(MIXED.symbols) | dict(MIXED_PROOF)
+    var = st.sampled_from("xyz")
+    atom = st.tuples(st.sampled_from(sorted(arity)), st.lists(var, min_size=3, max_size=3), st.booleans())
+    clauses = []
+    for atoms in draw(st.lists(st.lists(atom, min_size=1, max_size=4), min_size=1, max_size=3)):
+        atoms = [Atom(sym, tuple(args[: arity[sym]]), pos) for sym, args, pos in atoms]
+        eps = draw(st.lists(st.tuples(var, var).filter(lambda p: p[0] != p[1]), max_size=2))
+        variables = []
+        for v in [v for at in atoms for v in at.args] + [v for p in eps for v in p]:
+            if v not in variables:
+                variables.append(v)
+        alpha = tuple(at for at in atoms if at.symbol in MIXED.names)
+        beta = tuple(at for at in atoms if at.symbol not in MIXED.names)
+        clauses.append(Clause(tuple(variables), alpha, beta, tuple(eps)))
+    return SNPFormula(MIXED, MIXED_PROOF, tuple(clauses))
+
+
+# a variable in proof atoms only, a repeated variable, a negated input atom
+# and an inequality in one clause
+@example(
+    phi=SNPFormula(
+        MIXED,
+        MIXED_PROOF,
+        (
+            Clause(
+                ("x", "y", "z"),
+                (Atom("T", ("x", "x", "y")), Atom("U", ("y",), False)),
+                (Atom("Q", ("y", "z")),),
+                (("x", "y"),),
+            ),
+        ),
+    ),
+    a=Structure(MIXED, 2, {"T": [(0, 0, 1), (1, 1, 0)], "U": [(0,)]}),
+)
+@given(phi=mixed_formulas(), a=mixed_structures(max_n=3, max_tuples=4, min_n=1))
+@settings(max_examples=300, deadline=None)
+def test_eval_matches_brute_force_mixed(phi, a):
+    # P/1 and Q/2 on at most 3 elements: at most 2^12 proof choices
+    assert eval_snp(phi, a) == _brute_eval(phi, a)
+
+
+def test_formula_compiles_once(monkeypatch):
+    phi = parse_snp(THREE_COL)
+    built = []
+    real = snp.Structure
+    monkeypatch.setattr(snp, "Structure", lambda *args: built.append(args) or real(*args))
+    for a in [clique(3), clique(4), digraph(2, [(0, 0)]), digraph(0)] * 5:
+        eval_snp(phi, a)
+    assert len(built) == len(phi.clauses)
 
 
 def _formula_corpus():

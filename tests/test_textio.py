@@ -89,6 +89,12 @@ class TestParsing:
         assert p2.free_tuples == frozenset({("E", (1, 0))})
         assert fam.patterns[0].cover_mode == "partition"
 
+    def test_self_inequality_rejected(self):
+        # a pair (x, x) admits no occurrence, so dropping it would change the pattern
+        with pytest.raises(ParseError) as info:
+            parse_family(FAMILY_TEXT.replace("x != y", "y != y"))
+        assert info.value.line == 8
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(
