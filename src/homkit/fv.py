@@ -7,6 +7,16 @@ functors: `psi` records every block occurrence as a tuple; `theta`
 replays block tuples as base tuples.  The derived forest family over the
 basis signature captures pattern occurrences whose surroundings look
 tree-like, which is exactly what high-girth instances provide.
+
+`build_gprime` covers each tuple of a pattern quotient by one block
+occurrence and keeps the assemblies whose incidence graph is a forest.
+An occurrence's fresh (pendant) slots belong to it alone, so they are
+leaves of the incidence graph, and only the quotient's core elements can
+close a cycle.  The assemblies are therefore walked depth first with a
+union-find over the core: a choice whose core coordinates repeat or join
+two connected core elements is cyclic with every completion, and its
+subtree is skipped.  The walk meets the acyclic assemblies in the order
+of the full product, so the members found are the same.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, GirthTooSmallError
 from .homs import _set_partitions, hom_maps
 from .patterns import PatternFamily, _minimal_patterns, pattern_color_map
-from .shape import biconnected_components, shortest_cycle
+from .shape import _join_classes, biconnected_components, shortest_cycle
 from .structures import (
     Lift,
     Signature,
@@ -166,14 +176,64 @@ def _tuple_candidates(basis: BasisSignature, sym_name: str, t, n_core):
     return sorted(out)
 
 
+def _forest_assemblies(choice_lists, m):
+    """Sorted candidate sets picked one per list whose occurrences form a forest.
+
+    A depth-first walk over `choice_lists` in `itertools.product` order,
+    carrying a union-find over the m core elements.  A candidate already
+    on the path adds nothing; any other one whose core coordinates repeat
+    or join two connected core elements closes an incidence cycle, and so
+    does every completion of it, so its whole subtree is skipped.  Fresh
+    slots are leaves and never close a cycle.  Each candidate set is
+    yielded once, at its first complete path.
+    """
+    cores = [
+        [[v for kind, v in vec if kind == "c"] for _, vec in cl] for cl in choice_lists
+    ]
+    parent = [-1] * m
+    on_path = set()
+    seen = set()
+
+    def walk(i):
+        if i == len(choice_lists):
+            chosen = tuple(sorted(on_path))
+            if chosen not in seen:
+                seen.add(chosen)
+                yield chosen
+            return
+        for cand, core in zip(choice_lists[i], cores[i]):
+            if cand in on_path:
+                yield from walk(i + 1)
+                continue
+            undo = _join_classes(parent, core)
+            if undo is None:
+                continue
+            on_path.add(cand)
+            yield from walk(i + 1)
+            on_path.remove(cand)
+            for r, old in undo:
+                parent[r] = old
+
+    return walk(0)
+
+
 def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_ASSEMBLY_CAP) -> PatternFamily:
     """Forest patterns over the basis signature marking pattern occurrences.
 
-    Members come from color-compatible quotients of the patterns: each
-    quotient tuple is covered by a block occurrence, pendant coordinates
-    are fresh and colored every possible way, and cyclic assemblies are
-    discarded.  Members receiving a homomorphism from another member are
-    pruned.
+    A pattern is first colored every possible way on its uncolored
+    elements (on partition lifts a plain pattern is the union of its full
+    colorings).  Members come from color-compatible quotients of these:
+    each quotient tuple is covered by a block occurrence, pendant
+    coordinates are fresh and colored every possible way, and only
+    assemblies whose incidence graph is a forest are kept.  Fresh slots
+    are leaves, so only the core elements can close a cycle; the
+    assemblies are walked depth first with a union-find over the core, and
+    a choice that closes a cycle cuts off every completion of it.  Members
+    receiving a homomorphism from another member are pruned.
+
+    `cap` bounds the unpruned number of assemblies of each quotient (the
+    product of its candidate counts) and the number of members; past
+    either, GuardExceededError.
     """
     if not fam.is_monadic():
         raise ValueError("the reduction expects a monadic family")
@@ -183,55 +243,49 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
         cmap = pattern_color_map(fam, p)
         if cmap is None:
             continue
-        color_of = {t[0]: c for t, c in cmap.items()}
+        uncolored = [x for x in range(p.struct.n) if (x,) not in cmap]
         sh = shadow(p)
-        for assign, m in _color_compatible_partitions(p.struct.n, color_of):
-            h = quotient(sh, assign, m)
-            core_colors = {}
-            for x in range(p.struct.n):
-                if x in color_of:
-                    core_colors[assign[x]] = color_of[x]
-            h_tuples = sorted(h.all_tuples())
-            choice_lists = []
-            for si, t in h_tuples:
-                cands = _tuple_candidates(basis, h.sig.names[si], t, m)
-                choice_lists.append(cands)
-            total = 1
-            for cl in choice_lists:
-                total *= max(len(cl), 1)
-                if total > cap:
-                    raise GuardExceededError("pattern assembly count exceeds the cap")
-            if any(not cl for cl in choice_lists):
-                continue
-            for combo in itertools.product(*choice_lists):
-                chosen = sorted(set(combo))
-                # materialise: core elements first, then fresh slots per candidate
-                fresh_index = {}
-                for ci, (bi, vec) in enumerate(chosen):
-                    for kind, v in vec:
-                        if kind == "f":
-                            fresh_index.setdefault((ci, v), m + len(fresh_index))
-                n_total = m + len(fresh_index)
-                rels = {name: set() for name, _ in basis.lifted.symbols}
-                for ci, (bi, vec) in enumerate(chosen):
-                    coords = []
-                    for kind, v in vec:
-                        coords.append(v if kind == "c" else fresh_index[(ci, v)])
-                    rels[basis.block_symbol(bi)].add(tuple(coords))
-                base_struct = Structure(basis.lifted, n_total, rels)
-                if shortest_cycle(base_struct) is not None:
+        for extra in itertools.product(range(len(colors)), repeat=len(uncolored)):
+            color_of = {t[0]: c for t, c in cmap.items()}
+            color_of.update(zip(uncolored, extra))
+            for assign, m in _color_compatible_partitions(p.struct.n, color_of):
+                h = quotient(sh, assign, m)
+                core_colors = {assign[x]: c for x, c in color_of.items()}
+                choice_lists = [
+                    _tuple_candidates(basis, h.sig.names[si], t, m) for si, t in sorted(h.all_tuples())
+                ]
+                total = 1
+                for cl in choice_lists:
+                    total *= max(len(cl), 1)
+                    if total > cap:
+                        raise GuardExceededError("pattern assembly count exceeds the cap")
+                if any(not cl for cl in choice_lists):
                     continue
-                fresh_slots = sorted(fresh_index.values())
-                for fresh_colors in itertools.product(range(len(colors)), repeat=len(fresh_slots)):
-                    crels = {k: set(v) for k, v in rels.items()}
+                for chosen in _forest_assemblies(choice_lists, m):
+                    # materialise: core elements first, then fresh slots per candidate
+                    fresh_index = {}
+                    for ci, (bi, vec) in enumerate(chosen):
+                        for kind, v in vec:
+                            if kind == "f":
+                                fresh_index.setdefault((ci, v), m + len(fresh_index))
+                    n_total = m + len(fresh_index)
+                    rels = {name: set() for name, _ in basis.lifted.symbols}
+                    for ci, (bi, vec) in enumerate(chosen):
+                        coords = []
+                        for kind, v in vec:
+                            coords.append(v if kind == "c" else fresh_index[(ci, v)])
+                        rels[basis.block_symbol(bi)].add(tuple(coords))
                     for x in range(m):
-                        crels[colors[core_colors[x]]].add((x,))
-                    for slot, c in zip(fresh_slots, fresh_colors):
-                        crels[colors[c]].add((slot,))
-                    lift = Lift(Structure(basis.lifted, n_total, crels), 1, "partition")
-                    members.setdefault(lift_canonical_form(lift), lift)
-                    if len(members) > cap:
-                        raise GuardExceededError("member count exceeds the cap")
+                        rels[colors[core_colors[x]]].add((x,))
+                    fresh_slots = sorted(fresh_index.values())
+                    for fresh_colors in itertools.product(range(len(colors)), repeat=len(fresh_slots)):
+                        crels = {k: set(v) for k, v in rels.items()}
+                        for slot, c in zip(fresh_slots, fresh_colors):
+                            crels[colors[c]].add((slot,))
+                        lift = Lift(Structure(basis.lifted, n_total, crels), 1, "partition")
+                        members.setdefault(lift_canonical_form(lift), lift)
+                        if len(members) > cap:
+                            raise GuardExceededError("member count exceeds the cap")
     pats = sorted(members.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
     return PatternFamily(basis.lifted, _minimal_patterns(pats), "plain", 1)
 

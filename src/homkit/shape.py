@@ -120,8 +120,36 @@ def girth(a: Structure):
     return cached
 
 
+def _join_classes(parent, elems):
+    """One union-find step of the incidence-forest test: join the classes of `elems`.
+
+    `parent[x]` is x's parent, or minus the size of x's class when x is a
+    root.  A tuple node closes an incidence cycle exactly when two of its
+    coordinates are equal or already connected; then nothing changes and
+    the answer is None.  Otherwise the smaller classes hang under the
+    largest, and the answer lists the (root, old entry) pairs overwritten,
+    so a caller can undo the step by writing them back.
+    """
+    roots = []
+    for x in elems:
+        while parent[x] >= 0:
+            x = parent[x]
+        if x in roots:
+            return None
+        roots.append(x)
+    undo = [(r, parent[r]) for r in roots]
+    top = min(roots, key=parent.__getitem__, default=None)
+    for r in roots:
+        if r != top:
+            parent[top] += parent[r]
+            parent[r] = top
+    return undo
+
+
 def is_forest(a: Structure) -> bool:
-    return girth(a) == math.inf
+    """Is the incidence graph acyclic?  One union-find pass over the tuples."""
+    parent = [-1] * a.n
+    return all(_join_classes(parent, t) is not None for _, t in a.all_tuples())
 
 
 def connected_component_elements(a: Structure):

@@ -373,10 +373,17 @@ def serialize_structure(struct: Structure, name: str = "S", signame: str = "sig"
 
 
 def serialize_family(fam: PatternFamily, name: str = "F", signame: str = "sig") -> str:
+    """The family as text that `parse_family` reads back to the same language.
+
+    A pattern with a noncollapse pair (x, x) admits no occurrence and so
+    forbids nothing; the parser refuses `x != x`, so such a pattern is left
+    out.
+    """
     lines = [serialize_signature(fam.sig, signame), f"family {name} : {signame} {{"]
     lines.append(f"  mode = {fam.mode_tag} ;")
     lines.append(f"  lift_arity = {fam.lift_arity} ;")
-    for i, pat in enumerate(fam.patterns):
+    kept = [pat for pat in fam.patterns if all(x != y for x, y in pat.noncollapse)]
+    for i, pat in enumerate(kept):
         names = _element_names(pat.struct)
         lines.append(f"  pattern P{i} {{")
         lines += ["  " + ln for ln in _body_lines(pat.struct, names, pat.noncollapse, pat.free_tuples)]

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homkit.enumeration import all_structures, high_girth_structures
-from homkit.errors import GirthTooSmallError
+from homkit.errors import GirthTooSmallError, GuardExceededError
 from homkit.fv import (
     build_basis,
     build_gprime,
@@ -17,7 +18,7 @@ from homkit.homs import all_homs, hom_exists
 from homkit.patterns import PatternFamily, fp_membership
 from homkit.structures import Lift, Structure, is_isomorphic, make_signature, shadow
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath
+from util import DIGRAPH, clique, dcycle, digraph, dpath, fully_colored, monadic_families, naive_gprime
 
 TSIG = make_signature([("E", 2), ("C", 1)], lift=["C"])
 CSIG = make_signature([("E", 2), ("C1", 1), ("C2", 1), ("C3", 1)], lift=["C1", "C2", "C3"])
@@ -153,7 +154,50 @@ class TestGPrime:
             )
 
 
+    def test_uncolored_element_colored_every_way(self):
+        sig = make_signature([("E", 2), ("C0", 1), ("C1", 1)], lift=["C0", "C1"])
+        fam = PatternFamily(sig, (Lift(Structure(sig, 2, {"E": [(0, 1)], "C0": [(0,)]}), 1, "none"),), "plain", 1)
+        basis = build_basis(fam)
+        assert build_gprime(fam, basis) == build_gprime(fully_colored(fam), basis)
+
+    @settings(max_examples=150, deadline=None)
+    @given(monadic_families(), st.sampled_from([32, 256, 4096]))
+    def test_matches_naive_assembly(self, fam, cap):
+        basis = build_basis(fam)
+        try:
+            expected = naive_gprime(fully_colored(fam), basis, cap)
+        except GuardExceededError:
+            with pytest.raises(GuardExceededError):
+                build_gprime(fam, basis, cap)
+            return
+        assert build_gprime(fam, basis, cap) == expected
+
+
+def uncolored_families():
+    sig = make_signature([("E", 2), ("C0", 1), ("C1", 1)], lift=["C0", "C1"])
+
+    def pattern(n, arcs, c0=(), c1=()):
+        rels = {"E": arcs, "C0": [(x,) for x in c0], "C1": [(x,) for x in c1]}
+        return Lift(Structure(sig, n, rels), 1, "none")
+
+    return [
+        PatternFamily(sig, (pattern(2, [(0, 1)], c0=[0]),), "plain", 1),
+        PatternFamily(sig, (pattern(3, [(0, 1), (1, 2)], c1=[2]), pattern(2, [(0, 1)], c0=[0, 1])), "plain", 1),
+        PatternFamily(sig, (pattern(3, [(0, 1), (1, 2), (2, 0)], c0=[0]),), "plain", 1),
+    ]
+
+
 class TestReductions:
+    def test_forward_equivalence_uncolored_elements(self):
+        for fam in uncolored_families():
+            basis = build_basis(fam)
+            gfam = build_gprime(fam, basis)
+            for a in all_structures(DIGRAPH, 3):
+                a = Structure(fam.base_sig, a.n, {"E": a.rel("E")})
+                in_l = fp_membership(a, fam) is not None
+                mapped = fp_membership(psi(a, basis), gfam) is not None
+                assert in_l == mapped, (fam, a)
+
     def test_forward_equivalence_triangle_free(self):
         fam = triangle_free_family()
         basis = build_basis(fam)

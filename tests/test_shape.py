@@ -2,6 +2,7 @@ import itertools
 import math
 
 import pytest
+from hypothesis import example, given, settings
 
 from homkit.shape import (
     biconnected_components,
@@ -12,7 +13,7 @@ from homkit.shape import (
 )
 from homkit.structures import Structure, make_signature
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, scycle
+from util import DIGRAPH, MIXED, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, scycle
 
 TERN = make_signature([("R", 3)])
 
@@ -54,6 +55,16 @@ class TestGirth:
     def test_shorter_than_filter(self):
         assert shortest_cycle(dcycle(4), shorter_than=4) is None
         assert shortest_cycle(dcycle(4), shorter_than=5)[0] == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_structures())
+@example(Structure(MIXED, 3, {"T": [(0, 2, 0)]}))  # repeated coordinate
+@example(Structure(MIXED, 4, {"T": [(0, 1, 2)], "E": [(1, 0)], "U": [(1,)]}))  # two tuples share two elements
+@example(Structure(MIXED, 5, {"T": [(0, 1, 2), (2, 3, 4)], "E": [(4, 1)], "U": [(0,), (3,)]}))  # a 3-cycle
+@example(Structure(MIXED, 6, {"T": [(0, 1, 2), (2, 3, 4)], "E": [(4, 5)], "U": [(1,)]}))  # a tree
+def test_is_forest_matches_girth(a):
+    assert is_forest(a) == (girth(a) == math.inf)
 
 
 def _all_cycles_exist(a, length):

@@ -1,7 +1,9 @@
 import pytest
 
+from homkit.enumeration import all_structures
 from homkit.errors import ParseError
-from homkit.structures import is_isomorphic
+from homkit.patterns import PatternFamily, fp_membership
+from homkit.structures import Lift, Structure, is_isomorphic, make_signature
 from homkit.textio import (
     parse_document,
     parse_family,
@@ -10,7 +12,7 @@ from homkit.textio import (
     serialize_structure,
 )
 
-from util import clique, digraph
+from util import DIGRAPH, clique, digraph
 
 K3_TEXT = """
 # a complete symmetric triangle
@@ -115,6 +117,20 @@ class TestRoundTrip:
         assert len(back.patterns) == len(fam.patterns)
         assert back.mode_tag == fam.mode_tag
         assert serialize_family(back, "mono") == text
+
+    def test_family_with_self_pair_round_trip(self):
+        # the pattern carrying (x, x) forbids nothing, so leaving it out keeps the language
+        sig = make_signature([("E", 2), ("C1", 1), ("C2", 1)], lift=["C1", "C2"])
+        never = Lift(Structure(sig, 1, {"C1": [(0,)]}), 1, "none", frozenset({(0, 0)}))
+        pats = [never] + [
+            Lift(Structure(sig, 2, {"E": [(0, 1)], c: [(0,), (1,)]}), 1, "none") for c in ("C1", "C2")
+        ]
+        fam = PatternFamily(sig, tuple(pats), "plain", 1)
+        back = parse_family(serialize_family(fam, "two_col"))
+        assert len(back.patterns) == 2
+        for a in all_structures(DIGRAPH, 3):
+            a = Structure(fam.base_sig, a.n, {"E": a.rel("E")})
+            assert (fp_membership(a, back) is None) == (fp_membership(a, fam) is None), a
 
     def test_document_with_multiple_decls(self):
         doc = parse_document(K3_TEXT + "\nstructure P : digraph { universe = {z} ; E = {} }")

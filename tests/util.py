@@ -8,7 +8,11 @@ import itertools
 
 from hypothesis import strategies as st
 
-from homkit.structures import Structure, make_signature
+from homkit.errors import GuardExceededError
+from homkit.fv import GPRIME_ASSEMBLY_CAP, _color_compatible_partitions, _tuple_candidates
+from homkit.patterns import PatternFamily, _minimal_patterns, pattern_color_map
+from homkit.shape import shortest_cycle
+from homkit.structures import Lift, Structure, lift_canonical_form, make_signature, quotient, shadow
 
 DIGRAPH = make_signature([("E", 2)])
 MIXED = make_signature([("U", 1), ("E", 2), ("T", 3)])
@@ -136,3 +140,114 @@ def mixed_trees(draw, max_n=5):
         rels[name].add(tuple(elems[i] for i in order if i < arity))
         n += arity - 1
     return Structure(MIXED, n, rels)
+
+
+@st.composite
+def monadic_families(draw, uncolored=True):
+    """Plain monadic families over E/2 (and sometimes T/3) with 1-2 colours.
+
+    One or two patterns of 2-4 elements; each element gets one colour, or,
+    with `uncolored`, sometimes none.
+    """
+    syms = [("E", 2)] + ([("T", 3)] if draw(st.booleans()) else [])
+    colors = [f"C{i}" for i in range(draw(st.integers(1, 2)))]
+    sig = make_signature(syms + [(c, 1) for c in colors], lift=colors)
+    color_choice = st.sampled_from(colors + [None] if uncolored else colors)
+    pats = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(2, 4))
+        rels = {name: set() for name, _ in sig.symbols}
+        for name, arity in syms:
+            slot = st.tuples(*[st.integers(0, n - 1)] * arity)
+            rels[name].update(draw(st.lists(slot, min_size=name == "E", max_size=2)))
+        for x in range(n):
+            c = draw(color_choice)
+            if c is not None:
+                rels[c].add((x,))
+        pats.append(Lift(Structure(sig, n, rels), 1, "none"))
+    return PatternFamily(sig, tuple(pats), "plain", 1)
+
+
+def fully_colored(fam):
+    """The family with every pattern replaced by all its full colorings, in order.
+
+    On partition lifts a plain pattern is the union of its full colorings,
+    so the language is the same.
+    """
+    colors = fam.colors()
+    pats = []
+    for p in fam.patterns:
+        uncolored = [x for x in range(p.struct.n) if not any((x,) in p.struct.rel(c) for c in colors)]
+        for extra in itertools.product(colors, repeat=len(uncolored)):
+            rels = {name: set(p.struct.rel(name)) for name, _ in fam.sig.symbols}
+            for x, c in zip(uncolored, extra):
+                rels[c].add((x,))
+            pats.append(Lift(Structure(fam.sig, p.struct.n, rels), p.lift_arity, p.cover_mode, p.noncollapse, p.free_tuples))
+    return PatternFamily(fam.sig, tuple(pats), fam.mode_tag, fam.lift_arity)
+
+
+def naive_gprime(fam, basis, cap=GPRIME_ASSEMBLY_CAP):
+    """`fv.build_gprime` by brute force, for fully coloured families.
+
+    Builds every assembly in `itertools.product` order as a structure and
+    keeps it when `shortest_cycle` finds no incidence cycle.
+    """
+    if not fam.is_monadic():
+        raise ValueError("the reduction expects a monadic family")
+    colors = fam.colors()
+    members = {}
+    for p in fam.patterns:
+        cmap = pattern_color_map(fam, p)
+        if cmap is None:
+            continue
+        color_of = {t[0]: c for t, c in cmap.items()}
+        sh = shadow(p)
+        for assign, m in _color_compatible_partitions(p.struct.n, color_of):
+            h = quotient(sh, assign, m)
+            core_colors = {}
+            for x in range(p.struct.n):
+                if x in color_of:
+                    core_colors[assign[x]] = color_of[x]
+            h_tuples = sorted(h.all_tuples())
+            choice_lists = []
+            for si, t in h_tuples:
+                cands = _tuple_candidates(basis, h.sig.names[si], t, m)
+                choice_lists.append(cands)
+            total = 1
+            for cl in choice_lists:
+                total *= max(len(cl), 1)
+                if total > cap:
+                    raise GuardExceededError("pattern assembly count exceeds the cap")
+            if any(not cl for cl in choice_lists):
+                continue
+            for combo in itertools.product(*choice_lists):
+                chosen = sorted(set(combo))
+                # materialise: core elements first, then fresh slots per candidate
+                fresh_index = {}
+                for ci, (bi, vec) in enumerate(chosen):
+                    for kind, v in vec:
+                        if kind == "f":
+                            fresh_index.setdefault((ci, v), m + len(fresh_index))
+                n_total = m + len(fresh_index)
+                rels = {name: set() for name, _ in basis.lifted.symbols}
+                for ci, (bi, vec) in enumerate(chosen):
+                    coords = []
+                    for kind, v in vec:
+                        coords.append(v if kind == "c" else fresh_index[(ci, v)])
+                    rels[basis.block_symbol(bi)].add(tuple(coords))
+                base_struct = Structure(basis.lifted, n_total, rels)
+                if shortest_cycle(base_struct) is not None:
+                    continue
+                fresh_slots = sorted(fresh_index.values())
+                for fresh_colors in itertools.product(range(len(colors)), repeat=len(fresh_slots)):
+                    crels = {k: set(v) for k, v in rels.items()}
+                    for x in range(m):
+                        crels[colors[core_colors[x]]].add((x,))
+                    for slot, c in zip(fresh_slots, fresh_colors):
+                        crels[colors[c]].add((slot,))
+                    lift = Lift(Structure(basis.lifted, n_total, crels), 1, "partition")
+                    members.setdefault(lift_canonical_form(lift), lift)
+                    if len(members) > cap:
+                        raise GuardExceededError("member count exceeds the cap")
+    pats = sorted(members.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+    return PatternFamily(basis.lifted, _minimal_patterns(pats), "plain", 1)
