@@ -6,8 +6,10 @@ r-tuple in exactly one lift relation) admits no pattern under that mode.
 Membership search assigns lift classes to r-tuples and excludes the
 assignment fragments induced by pattern occurrences ("nogoods").  Each
 family compiles its patterns' shadows, color maps and modes once, on first
-use.  `solve_nogoods` decides the colouring; SNP evaluation uses the same
-solver for its proof bits, as forbidden lifts and MMSNP are one problem.
+use, and patterns that share a shadow and a mode share one occurrence
+search.  `solve_nogoods` decides the colouring; SNP evaluation uses the
+same walker and solver for its proof bits, as forbidden lifts and MMSNP
+are one problem.
 
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -31,6 +34,7 @@ from .structures import (
     Lift,
     Signature,
     Structure,
+    _trusted_partition_lift,
     disjoint_union,
     lift_canonical_form,
     quotient,
@@ -69,8 +73,12 @@ class PatternFamily:
     def base_sig(self) -> Signature:
         return self.sig.base()
 
-    def colors(self):
+    @functools.cached_property
+    def _colors(self) -> tuple:
         return tuple(name for name, _ in self.sig.lift_symbols())
+
+    def colors(self):
+        return self._colors
 
     def pattern_mode(self, p: Lift) -> HomMode:
         return HomMode(self.mode_tag, p.noncollapse, p.free_tuples)
@@ -80,14 +88,14 @@ class PatternFamily:
 
     @functools.cached_property
     def _compiled(self):
-        """The occurrence program of each pattern a partition lift can contain.
+        """The occurrence programs of the patterns a partition lift can contain.
 
-        A program, as `_walk_occurrences` reads it, is (shadow, HomMode,
-        absent slots, cells); patterns have no absent slots, and a cell
-        (getter, 0, color index) reads the image of one colored r-tuple off
-        a mapping tuple, as a bare element when r = 1.  Built on first use
-        and kept for the family's lifetime, so membership calls share the
-        shadows and the search plans cached on them.
+        Programs are grouped as `_group_programs` describes; patterns have
+        no absent slots, and a cell (getter, 0, color index) reads the image
+        of one colored r-tuple off a mapping tuple, as a bare element when
+        r = 1.  Built on first use and kept for the family's lifetime, so
+        membership calls share the shadows and the search plans cached on
+        them.
         """
         out = []
         for p in self.patterns:
@@ -100,8 +108,23 @@ class PatternFamily:
                 # partition lift never provides
                 continue
             cells = tuple((operator.itemgetter(*t), 0, ci) for t, ci in cmap.items())
-            out.append((shadow(p), self.pattern_mode(p), (), cells))
-        return tuple(out)
+            out.append((shadow(p), self.pattern_mode(p), frozenset(), cells))
+        return _group_programs(out)
+
+
+def _group_programs(programs) -> tuple:
+    """Merge occurrence programs that share their occurrences.
+
+    A program is (shadow, HomMode, absent slots, cells); programs with equal
+    shadow, mode and absent slots (a frozenset) have the same occurrences in
+    every structure.  Each group comes back as (shadow, HomMode, absent
+    slots, the cells of each member), in order of first appearance, for
+    `_walk_occurrences` to search once.
+    """
+    groups = {}
+    for sh, mode, absent, cells in programs:
+        groups.setdefault((sh, mode, absent), []).append(cells)
+    return tuple((sh, mode, absent, tuple(members)) for (sh, mode, absent), members in groups.items())
 
 
 def pattern_color_map(fam: PatternFamily, p: Lift):
@@ -117,15 +140,39 @@ def pattern_color_map(fam: PatternFamily, p: Lift):
 
 
 def make_partition_lift(fam: PatternFamily, a: Structure, coloring) -> Lift:
-    """Build the lift of `a` whose r-tuples carry the given color indices."""
-    colors = fam.colors()
-    rels = {name: a.rel(name) for name, _ in a.sig.symbols}
-    for name in colors:
-        rels[name] = set()
+    """Build the lift of `a` whose r-tuples carry the given color indices.
+
+    `coloring` maps every r-tuple of `a` to an index into `fam.colors()`.
+    """
+    if a.sig != fam.base_sig:
+        raise SignatureMismatchError("structure signature differs from the family's base part")
+    r, k = fam.lift_arity, len(fam.colors())
+    elems = range(a.n)
     for t, ci in coloring.items():
-        rels[colors[ci]].add(t)
-    carrier = Structure(fam.sig, a.n, rels, a.element_names)
-    return Lift(carrier, fam.lift_arity, "partition")
+        if not (isinstance(t, tuple) and len(t) == r and all(x in elems for x in t)):
+            raise InvalidStructureError(f"coloring key {t!r} is not a {r}-tuple over 0..{a.n - 1}")
+        if not (isinstance(ci, numbers.Integral) and 0 <= ci < k):
+            raise InvalidStructureError(f"color index {ci!r} of {t} is outside 0..{k - 1}")
+    if len(coloring) != a.n ** r:
+        missing = next(t for t in itertools.product(elems, repeat=r) if t not in coloring)
+        raise InvalidStructureError(f"tuple {missing} carries no color; not a partition")
+    return _partition_witness(fam, a, coloring, coloring.values())
+
+
+def _partition_witness(fam: PatternFamily, a: Structure, slots, coloring) -> Lift:
+    """The partition lift of `a` giving slots[i] the color index coloring[i].
+
+    Unchecked: the caller passes every r-tuple of `a` exactly once, each
+    with an index in range(len(fam.colors())).
+    """
+    colors = fam.colors()
+    classes = [[] for _ in colors]
+    for t, ci in zip(slots, coloring):
+        classes[ci].append(t)
+    lifted = dict(zip(colors, map(frozenset, classes)))
+    base = iter(a.rels)  # a.sig is the base part of fam.sig, in its order
+    rels = tuple(lifted[name] if name in lifted else next(base) for name, _ in fam.sig.symbols)
+    return _trusted_partition_lift(fam.sig, a.n, rels, a.element_names, fam.lift_arity)
 
 
 def lift_occurrence(fam: PatternFamily, p: Lift, witness: Lift):
@@ -227,30 +274,34 @@ def solve_nogoods(nvars: int, k: int, nogoods):
 def _walk_occurrences(programs, a: Structure, spaces):
     """The nogoods that occurrences of compiled programs in `a` impose, or None.
 
-    A program is (shadow, HomMode, absent slots, cells).  Every map
-    `hom_maps` yields from the shadow into `a` whose absent slots
-    (symbol index, tuple) all map onto tuples missing from `a` is an
-    occurrence.  Its cells (getter, space, value) give the literals
-    `spaces[space][getter(map)] = value`: a fragment that gives one variable
-    two values can never hold and is dropped, and an empty fragment is an
-    unconditional occurrence, for which the walk returns None.  Otherwise
-    the distinct fragments come back sorted, ready for `solve_nogoods`.
+    A program, as `_group_programs` builds it, is (shadow, HomMode, absent
+    slots, members), each member a tuple of cells.  Every map `hom_maps`
+    yields from the shadow into `a` whose absent slots (symbol index,
+    tuple) all map onto tuples missing from `a` is an occurrence of every
+    member, so each shadow is searched once.  A member's cells (getter,
+    space, value) give the literals `spaces[space][getter(map)] = value`: a
+    fragment that gives one variable two values can never hold and is
+    dropped, and an empty fragment is an unconditional occurrence, for
+    which the walk returns None.  Otherwise the set of distinct fragments
+    comes back in no particular order, which `solve_nogoods` does not
+    depend on.
     """
     rels = a.rels
     nogoods = set()
-    for sh, mode, absent, cells in programs:
+    for sh, mode, absent, members in programs:
         for m in hom_maps(sh, a, mode):
             if absent and any(tuple([m[x] for x in t]) in rels[si] for si, t in absent):
                 continue
-            frag = {}
-            for get, space, value in cells:
-                if frag.setdefault(spaces[space][get(m)], value) != value:
-                    break  # two cells land on one variable with different values
-            else:
-                if not frag:
-                    return None
-                nogoods.add(frozenset(frag.items()))
-    return sorted(nogoods, key=sorted)
+            for cells in members:
+                frag = {}
+                for get, space, value in cells:
+                    if frag.setdefault(spaces[space][get(m)], value) != value:
+                        break  # two cells land on one variable with different values
+                else:
+                    if not frag:
+                        return None
+                    nogoods.add(frozenset(frag.items()))
+    return nogoods
 
 
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
@@ -280,7 +331,7 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     coloring = solve_nogoods(len(slots), len(colors), nogoods)
     if coloring is None:
         return None
-    return make_partition_lift(fam, a, dict(zip(slots, coloring)))
+    return _partition_witness(fam, a, slots, coloring)
 
 
 def union_families(f1: PatternFamily, f2: PatternFamily) -> PatternFamily:

@@ -5,9 +5,11 @@ over a universal first-order conjunction of negated clauses; each clause
 splits into input atoms, proof atoms, and inequalities.  Clause variables
 are scoped per clause.  Model checking is exact: each clause compiles
 once into a shadow, and `eval_snp` walks the clause shadows with
-`hom_maps` through the membership walker, each occurrence forbidding its
-proof part as a nogood over the proof bits, which `solve_nogoods` decides
-with k = 2.  The translations read clauses as evaluation does.
+`hom_maps` through the membership walker, one search per shadow shared by
+clauses with the same inequalities and negated input atoms, each
+occurrence forbidding its proof part as a nogood over the proof bits,
+which `solve_nogoods` decides with k = 2.  The translations read clauses
+as evaluation does.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
-from .patterns import PatternFamily, _dedup_lifts, _walk_occurrences, solve_nogoods
+from .patterns import PatternFamily, _dedup_lifts, _group_programs, _walk_occurrences, solve_nogoods
 from .structures import HomMode, Lift, Signature, Structure
 
 PRIMITIVIZE_CAP = 1 << 14
@@ -66,7 +68,8 @@ class SNPFormula:
         A clause's shadow has its variables as elements and its positive
         input atoms as tuples; its inequalities are noncollapse pairs, its
         negated input atoms absent slots, and each proof atom a cell
-        (getter, proof symbol, polarity).
+        (getter, proof symbol, polarity).  Programs are grouped as
+        `patterns._group_programs` describes.
         """
         out = []
         for c in self.clauses:
@@ -75,13 +78,13 @@ class SNPFormula:
                 continue
             var_ix, held, absent, noncollapse = read
             sh = Structure(self.input_sig, len(c.variables), held, c.variables)
-            absent = tuple((self.input_sig.index(sym), t) for sym, t in absent)
+            absent = frozenset((self.input_sig.index(sym), t) for sym, t in absent)
             cells = tuple(
                 (operator.itemgetter(*(var_ix[v] for v in at.args)), at.symbol, at.positive)
                 for at in c.beta
             )
             out.append((sh, HomMode("plain", noncollapse), absent, cells))
-        return tuple(out)
+        return _group_programs(out)
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,25 @@ class Lift:
         return f"Lift({self.struct!r}, r={self.lift_arity}, {self.cover_mode})"
 
 
+def _trusted_partition_lift(sig: Signature, n: int, rels: tuple, element_names, r: int) -> Lift:
+    """A partition lift built without the checks of `Structure` and `Lift`.
+
+    `rels` holds one frozenset per symbol of `sig`, in its order.  Only for
+    callers whose construction guarantees what those checks test: every
+    tuple has its symbol's arity over 0..n-1, and every r-tuple lies in
+    exactly one lift relation.
+    """
+    s = object.__new__(Structure)
+    for name, value in (("sig", sig), ("n", n), ("rels", rels), ("element_names", element_names),
+                        ("_hash", None), ("_cache", {})):
+        object.__setattr__(s, name, value)
+    lift = object.__new__(Lift)
+    for name, value in (("struct", s), ("lift_arity", r), ("cover_mode", "partition"),
+                        ("noncollapse", frozenset()), ("free_tuples", frozenset())):
+        object.__setattr__(lift, name, value)
+    return lift
+
+
 def _cover_counts(struct: Structure, r: int) -> dict:
     """How many lift relations hold each r-tuple; every lift symbol must have arity r."""
     counts = {t: 0 for t in itertools.product(range(struct.n), repeat=r)}

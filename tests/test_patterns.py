@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homkit import patterns
 from homkit.enumeration import all_structures
-from homkit.errors import InvalidStructureError
+from homkit.errors import InvalidStructureError, SignatureMismatchError
 from homkit.homs import hom_equivalent, hom_exists
 from homkit.patterns import (
     PatternFamily,
@@ -27,12 +27,22 @@ from homkit.structures import (
     Lift,
     PLAIN,
     Structure,
+    classify_cover,
     make_signature,
     pullback_lift,
     shadow,
 )
 
-from util import DIGRAPH, clique, dcycle, digraph, naive_homs
+from util import (
+    DIGRAPH,
+    clique,
+    dcycle,
+    digraph,
+    naive_family_nogoods,
+    naive_homs,
+    shadow_sharing_families,
+    ue_structures,
+)
 
 CSIG = make_signature([("E", 2), ("C1", 1), ("C2", 1), ("C3", 1)], lift=["C1", "C2", "C3"])
 TSIG = make_signature([("E", 2), ("C", 1)], lift=["C"])
@@ -59,6 +69,16 @@ def triangle_free_family():
         "partition",
     )
     return PatternFamily(TSIG, (tri,), "plain", 1)
+
+
+PSIG = make_signature([("E", 2), ("A", 2), ("B", 2)], lift=["A", "B"])
+
+
+def pair_family():
+    """Lift arity 2: every arc is colored A, and no A-pair runs both ways."""
+    arc_b = Lift(Structure(PSIG, 2, {"E": [(0, 1)], "B": [(0, 1)]}), 2, "none")
+    a_both = Lift(Structure(PSIG, 2, {"A": [(0, 1), (1, 0)]}), 2, "none")
+    return PatternFamily(PSIG, (arc_b, a_both), "plain", 2)
 
 
 def naive_membership(a, fam):
@@ -135,6 +155,79 @@ class TestMembership:
                 if w is not None:
                     assert shadow(w) == a
                     assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+
+
+class TestGroupedWalk:
+    @staticmethod
+    def walk(fam, a):
+        r = fam.lift_arity
+        slots = itertools.product(range(a.n), repeat=r)
+        index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
+        got = patterns._walk_occurrences(fam._compiled, a, (index,))
+        return None if got is None else set(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fam=shadow_sharing_families(), a=ue_structures())
+    def test_matches_the_per_pattern_walk(self, fam, a):
+        assert self.walk(fam, a) == naive_family_nogoods(fam, a)
+
+    def test_one_search_per_shared_shadow(self, monkeypatch):
+        searched = []
+        real = patterns.hom_maps
+        monkeypatch.setattr(patterns, "hom_maps", lambda sh, a, mode: searched.append(sh) or real(sh, a, mode))
+        assert fp_membership(clique(3), three_col_family()) is not None
+        assert len(searched) == 1
+        # same shadow, different noncollapse pairs: two searches
+        path = {"E": [(0, 1), (1, 2)], "C1": [(0,), (2,)]}
+        pats = (
+            Lift(Structure(CSIG, 3, path), 1, "none"),
+            Lift(Structure(CSIG, 3, path), 1, "none", frozenset({(0, 2)})),
+        )
+        searched.clear()
+        fp_membership(clique(3), PatternFamily(CSIG, pats, "plain", 1))
+        assert len(searched) == 2
+
+    def test_trusted_witnesses_are_valid_lifts(self):
+        for fam in (three_col_family(), triangle_free_family(), pair_family()):
+            r = fam.lift_arity
+            members = 0
+            for a in all_structures(DIGRAPH, 3):
+                w = fp_membership(a, fam)
+                if w is None:
+                    continue
+                members += 1
+                rels = {name: w.struct.rel(name) for name in fam.sig.names}
+                assert w == Lift(Structure(fam.sig, a.n, rels), r, "partition")
+                assert classify_cover(w.struct, r) == "partition"
+                assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+            assert members > 0
+
+
+class TestMakePartitionLift:
+    def test_colors_each_tuple(self):
+        w = make_partition_lift(two_col_family(), digraph(2, [(0, 1)]), {(0,): 1, (1,): 0})
+        assert w.struct.rel("C1") == {(1,)} and w.struct.rel("C2") == {(0,)}
+        assert w.struct.rel("E") == {(0, 1)} and w.cover_mode == "partition"
+        w2 = make_partition_lift(pair_family(), digraph(1), {(0, 0): 1})
+        assert w2.struct.rel("A") == set() and w2.struct.rel("B") == {(0, 0)}
+
+    @pytest.mark.parametrize("index", [-1, 2, 0.5, None])
+    def test_rejects_a_color_index_out_of_range(self, index):
+        with pytest.raises(InvalidStructureError, match="color index"):
+            make_partition_lift(two_col_family(), digraph(2), {(0,): index, (1,): 0})
+
+    @pytest.mark.parametrize("key", [(2,), (-1,), (0, 1), 0, ()])
+    def test_rejects_a_key_that_is_no_tuple_of_the_structure(self, key):
+        with pytest.raises(InvalidStructureError, match="coloring key"):
+            make_partition_lift(two_col_family(), digraph(2), {key: 0, (1,): 0})
+
+    def test_rejects_a_partial_coloring(self):
+        with pytest.raises(InvalidStructureError, match="not a partition"):
+            make_partition_lift(two_col_family(), digraph(2), {(1,): 0})
+
+    def test_rejects_a_foreign_signature(self):
+        with pytest.raises(SignatureMismatchError):
+            make_partition_lift(two_col_family(), Structure(make_signature([("F", 2)]), 1), {(0,): 0})
 
 
 class TestFamilyArity:

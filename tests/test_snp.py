@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from homkit import snp
 from homkit.enumeration import all_structures
 from homkit.errors import ParseError
-from homkit.patterns import fp_membership
+from homkit.patterns import _walk_occurrences, fp_membership
 from homkit.snp import (
     Atom,
     Clause,
@@ -24,7 +24,16 @@ from homkit.snp import (
 )
 from homkit.structures import Structure
 
-from util import DIGRAPH, MIXED, clique, digraph, mixed_structures
+from util import (
+    DIGRAPH,
+    MIXED,
+    clique,
+    digraph,
+    mixed_structures,
+    naive_formula_nogoods,
+    shadow_sharing_formulas,
+    ue_structures,
+)
 
 TWO_TRIANGLE_FREE = """
 snp two_triangle_free {
@@ -201,6 +210,19 @@ def mixed_formulas(draw):
 def test_eval_matches_brute_force_mixed(phi, a):
     # P/1 and Q/2 on at most 3 elements: at most 2^12 proof choices
     assert eval_snp(phi, a) == _brute_eval(phi, a)
+
+
+@given(phi=shadow_sharing_formulas(), a=ue_structures())
+@settings(max_examples=300, deadline=None)
+def test_grouped_walk_matches_the_per_clause_walk(phi, a):
+    spaces = {}
+    first = 0
+    for name, arity in phi.proof:
+        tuples = itertools.product(range(a.n), repeat=arity)
+        spaces[name] = {t[0] if arity == 1 else t: first + i for i, t in enumerate(tuples)}
+        first += a.n**arity
+    got = _walk_occurrences(phi._compiled, a, spaces)
+    assert (None if got is None else set(got)) == naive_formula_nogoods(phi, a)
 
 
 def test_formula_compiles_once(monkeypatch):

@@ -12,10 +12,12 @@ from homkit.errors import GuardExceededError
 from homkit.fv import GPRIME_ASSEMBLY_CAP, _color_compatible_partitions, _tuple_candidates
 from homkit.patterns import PatternFamily, _minimal_patterns, pattern_color_map
 from homkit.shape import shortest_cycle
+from homkit.snp import Atom, Clause, SNPFormula
 from homkit.structures import Lift, Structure, lift_canonical_form, make_signature, quotient, shadow
 
 DIGRAPH = make_signature([("E", 2)])
 MIXED = make_signature([("U", 1), ("E", 2), ("T", 3)])
+UE = make_signature([("U", 1), ("E", 2)])
 
 
 def digraph(n, arcs=()):
@@ -251,3 +253,143 @@ def naive_gprime(fam, basis, cap=GPRIME_ASSEMBLY_CAP):
                         raise GuardExceededError("member count exceeds the cap")
     pats = sorted(members.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
     return PatternFamily(basis.lifted, _minimal_patterns(pats), "plain", 1)
+
+
+def naive_family_nogoods(fam, a):
+    """The nogoods of `fp_membership`, one pattern at a time, or None.
+
+    Variables are the r-tuples of `a` in `itertools.product` order; every
+    map of a pattern's shadow found by `naive_homs` forbids the pattern's
+    colors on the images of its colored r-tuples.  A fragment giving one
+    tuple two colors is dropped; an empty one makes `a` a non-member (None).
+    """
+    r = fam.lift_arity
+    index = {t: i for i, t in enumerate(itertools.product(range(a.n), repeat=r))}
+    nogoods = set()
+    for p in fam.patterns:
+        cmap = pattern_color_map(fam, p)
+        if cmap is None:
+            continue
+        if fam.mode_tag == "full" and len(cmap) < p.struct.n**r:
+            continue  # an uncolored tuple must map onto a colorless one
+        for m in naive_homs(shadow(p), a, fam.mode_tag, p.noncollapse, p.free_tuples):
+            frag = {}
+            for t, ci in cmap.items():
+                if frag.setdefault(index[tuple(m[x] for x in t)], ci) != ci:
+                    break
+            else:
+                if not frag:
+                    return None
+                nogoods.add(frozenset(frag.items()))
+    return nogoods
+
+
+def naive_formula_nogoods(phi, a):
+    """The nogoods of `eval_snp`, one clause valuation at a time, or None.
+
+    Variables are the proof bits: each proof symbol's tuples in
+    `itertools.product` order, the symbols in declaration order.  Every
+    valuation of a clause's variables that satisfies its inequalities and
+    input atoms forbids its proof atoms' polarities.
+    """
+    index = {}
+    for name, arity in phi.proof:
+        for t in itertools.product(range(a.n), repeat=arity):
+            index[name, t] = len(index)
+    nogoods = set()
+    for c in phi.clauses:
+        for vals in itertools.product(range(a.n), repeat=len(c.variables)):
+            env = dict(zip(c.variables, vals))
+            if any(env[x] == env[y] for x, y in c.epsilon):
+                continue
+            if any((tuple(env[v] for v in at.args) in a.rel(at.symbol)) != at.positive for at in c.alpha):
+                continue
+            frag = {}
+            for at in c.beta:
+                if frag.setdefault(index[at.symbol, tuple(env[v] for v in at.args)], at.positive) != at.positive:
+                    break
+            else:
+                if not frag:
+                    return None
+                nogoods.add(frozenset(frag.items()))
+    return nogoods
+
+
+@st.composite
+def ue_structures(draw, max_n=3):
+    """Structures over UE with at most max_n elements."""
+    n = draw(st.integers(0, max_n))
+    if not n:
+        return Structure(UE, 0)
+    elem = st.integers(0, n - 1)
+    rels = {"U": draw(st.lists(st.tuples(elem), max_size=n)), "E": draw(st.lists(st.tuples(elem, elem), max_size=2 * n))}
+    return Structure(UE, n, rels)
+
+
+@st.composite
+def shadow_sharing_families(draw):
+    """Families over UE whose patterns often share a shadow.
+
+    Lift arity 1 or 2, one to three colors, any of the three modes.  One or
+    two shadows of 1-3 elements each carry one to three patterns, which
+    differ in their colors, noncollapse pairs and (in full mode) free slots.
+    """
+    r = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from(["plain", "injective", "full"]))
+    colors = [f"C{i}" for i in range(draw(st.integers(1, 3)))]
+    base = list(UE.symbols)
+    sig = make_signature(base + [(c, r) for c in colors], lift=colors)
+    pats = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3))
+        elem = st.integers(0, n - 1)
+        held = {
+            "U": set(draw(st.lists(st.tuples(elem), max_size=2))),
+            "E": set(draw(st.lists(st.tuples(elem, elem), max_size=3))),
+        }
+        slots = [(name, t) for name, arity in base for t in itertools.product(range(n), repeat=arity)]
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(draw(st.integers(1, 3))):
+            rels = dict(held)
+            for t in itertools.product(range(n), repeat=r):
+                c = draw(st.sampled_from(colors + [None]))
+                if c is not None:
+                    rels.setdefault(c, set()).add(t)
+            noncollapse = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=2))) if pairs else frozenset()
+            free = frozenset()
+            if mode == "full":
+                free = frozenset(draw(st.lists(st.sampled_from(slots), max_size=2)))
+            pats.append(Lift(Structure(sig, n, rels), r, "none", noncollapse, free))
+    return PatternFamily(sig, tuple(pats), mode, r)
+
+
+SHARING_PROOF = (("P", 1), ("Q", 2))
+
+
+@st.composite
+def shadow_sharing_formulas(draw):
+    """Formulas over UE whose clauses often share a shadow.
+
+    Proof symbols P/1 and Q/2.  Every clause holds the same positive input
+    atoms; each adds proof atoms, and maybe negated input atoms and
+    inequalities, over the same variables.
+    """
+    var = st.sampled_from("xyz")
+    shared = [Atom("E", draw(st.tuples(var, var)))]
+    shared += [Atom("U", (v,)) for v in draw(st.lists(var, max_size=1))]
+    names = []
+    for at in shared:
+        for v in at.args:
+            if v not in names:
+                names.append(v)
+    own = st.sampled_from(names)
+    pairs = list(itertools.permutations(names, 2))
+    clauses = []
+    for _ in range(draw(st.integers(1, 4))):
+        negated = [Atom("E", draw(st.tuples(own, own)), False) for _ in range(draw(st.integers(0, 1)))]
+        negated += [Atom("U", (draw(own),), False) for _ in range(draw(st.integers(0, 1)))]
+        beta = [Atom("P", (draw(own),), draw(st.booleans())) for _ in range(draw(st.integers(0, 2)))]
+        beta += [Atom("Q", draw(st.tuples(own, own)), draw(st.booleans())) for _ in range(draw(st.integers(0, 1)))]
+        eps = draw(st.lists(st.sampled_from(pairs), max_size=1)) if pairs else []
+        clauses.append(Clause(tuple(names), tuple(shared + negated), tuple(beta), tuple(eps)))
+    return SNPFormula(UE, SHARING_PROOF, tuple(clauses))
