@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from .enumeration import _sweep
 from .errors import GuardExceededError, NotATreeError
 from .homs import core_of, hom_exists
 from .shape import connected_component_elements, shortest_cycle
@@ -172,50 +173,16 @@ def _probe_structures(sig, max_n):
 def verify_duality(forb, duals, max_n: int, cache=None):
     """Exhaustively check: [no F maps to A] iff [A maps to some dual], |A| <= max_n.
 
-    Returns (True, None) or (False, counterexample).  The search probes a
-    fixed seed list first, then walks the iso-class catalog by size, so a
-    shared `cache` dict lets repeated sweeps reuse homomorphism answers.
+    Returns (True, None) or (False, counterexample).  The obstructions,
+    the duals and a fixed probe list go first, then the iso-class catalog
+    by size; a shared `cache` dict lets repeated sweeps reuse answers.
     """
-    from .enumeration import structures_of_size
-
     forb = list(forb)
     duals = list(duals)
     sig = forb[0].sig if forb else (duals[0].sig if duals else None)
     if sig is None:
         raise ValueError("verify_duality needs at least one structure to fix the signature")
-    if cache is None:
-        cache = {}
-    lhs_memo = cache.setdefault("lhs", {})
-    rhs_memo = cache.setdefault("rhs", {})
-    forb_key = tuple(forb)
-
-    def lhs(a, key):
-        hit = lhs_memo.get((forb_key, key))
-        if hit is None:
-            hit = all(hom_exists(f, a) is None for f in forb)
-            lhs_memo[(forb_key, key)] = hit
-        return hit
-
-    def rhs(a, key):
-        for d in duals:
-            dkey = (key, d)
-            hit = rhs_memo.get(dkey)
-            if hit is None:
-                hit = hom_exists(a, d) is not None
-                rhs_memo[dkey] = hit
-            if hit:
-                return True
-        return False
-
-    probes = [f for f in forb if f.n <= max_n] + [d for d in duals if d.n <= max_n]
-    probes += _probe_structures(sig, max_n)
-    for a in probes:
-        key = ("probe", canonical_form(a))
-        if lhs(a, key) != rhs(a, key):
-            return False, a
-    for n in range(max_n + 1):
-        for mask, a in structures_of_size(sig, n):
-            key = (n, mask)
-            if lhs(a, key) != rhs(a, key):
-                return False, a
-    return True, None
+    seeds = forb + duals + _probe_structures(sig, max_n)
+    return _sweep(
+        sig, lambda a: all(hom_exists(f, a) is None for f in forb), tuple(forb), duals, max_n, seeds, cache
+    )

@@ -5,7 +5,8 @@ ordered "slots" (symbol, tuple); the symmetric group acts on slot masks by
 relabeling.  A mask is the chosen representative of its class iff it is
 the numeric minimum of its orbit, which a vectorized filter checks per
 permutation.  Catalogs of masks are cached per (signature, n); Structure
-objects are built lazily.
+objects are built lazily.  `_sweep` walks the catalog for the brute-force
+verifiers of duality and shadow duality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import itertools
 import numpy as np
 
 from .errors import GuardExceededError
-from .structures import Signature, Structure
+from .homs import hom_exists
+from .structures import Signature, Structure, canonical_form
 
 MAX_BITS = 26
 MAX_PERM_N = 8
@@ -179,8 +181,42 @@ def all_structures(sig: Signature, max_n: int, symmetric: bool = False):
             yield s
 
 
-def count_structures(sig: Signature, n: int, symmetric: bool = False) -> int:
-    return int(catalog_masks(sig, n, symmetric)[2].size)
+def _sweep(sig: Signature, in_language, key, templates, max_n: int, seeds=(), cache=None):
+    """The first structure on which a language and a template set disagree.
+
+    Returns (False, a) for the first `a` where `in_language(a)` differs
+    from "a maps to some template", else (True, None).  The seeds with at
+    most max_n elements come first, then the iso-class catalog by size.
+    Answers are memoised by value in `cache`: one memo per language `key`
+    and one per template, holding a catalog structure under (n, mask) and
+    a seed under its canonical form, so sweeps sharing a cache share them.
+    """
+    templates = list(templates)
+    if cache is None:
+        cache = {}
+    member = cache.setdefault(("language", key), {})
+    maps = [cache.setdefault(("template", d), {}) for d in templates]
+
+    def disagree(a, k):
+        inside = member.get(k)
+        if inside is None:
+            inside = member[k] = in_language(a)
+        for d, memo in zip(templates, maps):
+            hit = memo.get(k)
+            if hit is None:
+                hit = memo[k] = hom_exists(a, d) is not None
+            if hit:
+                return not inside
+        return inside
+
+    for a in seeds:
+        if a.n <= max_n and disagree(a, canonical_form(a)):
+            return False, a
+    for n in range(max_n + 1):
+        for mask, a in structures_of_size(sig, n):
+            if disagree(a, (n, mask)):
+                return False, a
+    return True, None
 
 
 def high_girth_structures(sig: Signature, max_n: int, min_girth: int, max_tuples=None):
@@ -192,7 +228,6 @@ def high_girth_structures(sig: Signature, max_n: int, min_girth: int, max_tuples
     the relation size.
     """
     from .shape import shortest_cycle
-    from .structures import canonical_form
 
     for n in range(max_n + 1):
         slots = tuple_slots(sig, n)

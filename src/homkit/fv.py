@@ -50,6 +50,7 @@ class BasisSignature:
     blocks: tuple  # canonical block Structures over the base signature
     beta: Signature  # one symbol per block, arity = block size
     lifted: Signature  # beta plus the family's lift symbols
+    base: Signature  # the family's base signature, which theta rebuilds
 
     def block_symbol(self, i: int) -> str:
         return self.beta.symbols[i][0]
@@ -84,7 +85,7 @@ def build_basis(fam: PatternFamily) -> BasisSignature:
     lifted = Signature(
         beta.symbols + tuple(fam.sig.lift_symbols()), frozenset(fam.sig.lift_names)
     )
-    return BasisSignature(blocks, beta, lifted)
+    return BasisSignature(blocks, beta, lifted, base)
 
 
 def psi(a: Structure, basis: BasisSignature) -> Structure:
@@ -97,13 +98,12 @@ def psi(a: Structure, basis: BasisSignature) -> Structure:
 
 def theta(b: Structure, basis: BasisSignature) -> Structure:
     """Same universe; every beta-tuple replays its block's base tuples."""
-    base = basis.blocks[0].sig if basis.blocks else None
-    rels = {name: set() for name, _ in base.symbols}
+    rels = {name: set() for name, _ in basis.base.symbols}
     for i, blk in enumerate(basis.blocks):
         for t in b.rel(basis.block_symbol(i)):
             for si, tp in blk.all_tuples():
                 rels[blk.sig.names[si]].add(tuple(t[x] for x in tp))
-    return Structure(base, b.n, rels, b.element_names)
+    return Structure(basis.base, b.n, rels, b.element_names)
 
 
 def psi_lifted(a_lift: Lift, basis: BasisSignature) -> Lift:
@@ -122,23 +122,14 @@ def theta_lifted(b_lift: Lift, basis: BasisSignature) -> Lift:
     rels = {name: core.rel(name) for name, _ in core.sig.symbols}
     for name, _ in b.sig.lift_symbols():
         rels[name] = b.rel(name)
-    base_sig = basis.blocks[0].sig
     lifted_base = Signature(
-        base_sig.symbols + tuple(b.sig.lift_symbols()), frozenset(b.sig.lift_names)
+        basis.base.symbols + tuple(b.sig.lift_symbols()), frozenset(b.sig.lift_names)
     )
     return Lift(Structure(lifted_base, b.n, rels, b.element_names), 1, b_lift.cover_mode)
 
 
 def girth_threshold(fam: PatternFamily) -> int:
     return max((p.struct.n for p in fam.patterns), default=0)
-
-
-def _color_compatible_partitions(n: int, color_of):
-    """Set partitions of range(n) whose classes hold equally colored elements only."""
-    for assign, m in _set_partitions(n):
-        first = {}
-        if all(first.setdefault(c, color_of.get(x)) == color_of.get(x) for x, c in enumerate(assign)):
-            yield assign, m
 
 
 def _tuple_candidates(basis: BasisSignature, sym_name: str, t, n_core):
@@ -248,7 +239,9 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
         for extra in itertools.product(range(len(colors)), repeat=len(uncolored)):
             color_of = {t[0]: c for t, c in cmap.items()}
             color_of.update(zip(uncolored, extra))
-            for assign, m in _color_compatible_partitions(p.struct.n, color_of):
+            pairs = itertools.combinations(range(p.struct.n), 2)
+            apart = [(x, y) for x, y in pairs if color_of[x] != color_of[y]]
+            for assign, m in _set_partitions(p.struct.n, apart):
                 h = quotient(sh, assign, m)
                 core_colors = {assign[x]: c for x, c in color_of.items()}
                 choice_lists = [

@@ -429,22 +429,29 @@ def core_of(a: Structure) -> Structure:
         current = induced(current, set(endo))
 
 
-def _set_partitions(n: int):
-    """All partitions of range(n) as restricted-growth assignment lists."""
-    if n == 0:
-        yield [], 0
-        return
+def _set_partitions(n: int, apart=()):
+    """All partitions of range(n) as restricted-growth assignment lists.
+
+    No class holds both elements of a pair in `apart` (pairs are
+    unordered): the walk cuts a prefix off as soon as it puts such a pair
+    in one class.  Partitions come in lexicographic order of their lists,
+    each with its number of classes.
+    """
+    earlier = [[] for _ in range(n)]
+    for x, y in apart:
+        earlier[max(x, y)].append(min(x, y))
     assign = [0] * n
 
-    def rec(i, maxcls):
+    def rec(i, m):
         if i == n:
-            yield list(assign), maxcls + 1
+            yield list(assign), m
             return
-        for c in range(maxcls + 2):
+        for c in range(m + 1):
             assign[i] = c
-            yield from rec(i + 1, max(maxcls, c))
+            if all(assign[j] != c for j in earlier[i]):
+                yield from rec(i + 1, max(m, c + 1))
 
-    yield from rec(1, 0)
+    yield from rec(0, 0)
 
 
 def hom_images(a: Structure, max_n: int = 9):

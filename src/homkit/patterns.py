@@ -26,8 +26,9 @@ import numbers
 import operator
 from dataclasses import dataclass
 
+from .enumeration import _sweep, all_structures
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
-from .homs import _collapse_map, core_of, hom_exists, hom_images, hom_maps
+from .homs import _set_partitions, core_of, hom_exists, hom_images, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -479,10 +480,7 @@ def corroborate_negative(fam: PatternFamily, template_size: int = 2, set_size: i
     matches the language on all structures with at most max_n elements
     (which would contradict the verdict at this scale).
     """
-    from .enumeration import all_structures
-
-    base = fam.base_sig
-    templates = list(all_structures(base, template_size))
+    templates = list(all_structures(fam.base_sig, template_size))
     candidates = [[t] for t in templates]
     if set_size >= 2:
         candidates += [list(p) for p in itertools.combinations(templates, 2)]
@@ -500,35 +498,12 @@ def verify_shadow_duality(fam: PatternFamily, templates, max_n: int, cache=None)
     """Check: membership in the language iff a homomorphism into some template.
 
     Exhausts base structures with at most max_n elements up to isomorphism;
-    returns (True, None) or (False, counterexample).
+    returns (True, None) or (False, counterexample).  A shared `cache`
+    dict lets repeated sweeps reuse answers.
     """
-    from .enumeration import structures_of_size
-
-    templates = list(templates)
-    base = fam.base_sig
-    if cache is None:
-        cache = {}
-    # memos keyed by value: the family, and each template structure
-    lhs_memo = cache.setdefault("member", {}).setdefault(fam, {})
-    tmpl_memo = cache.setdefault("tmpl", {})
-    rhs_memos = [tmpl_memo.setdefault(d, {}) for d in templates]
-    for n in range(max_n + 1):
-        for mask, a in structures_of_size(base, n):
-            key = (n, mask)
-            lhs = lhs_memo.get(key)
-            if lhs is None:
-                lhs = lhs_memo[key] = fp_membership(a, fam) is not None
-            rhs = False
-            for d, memo in zip(templates, rhs_memos):
-                hit = memo.get(key)
-                if hit is None:
-                    hit = memo[key] = hom_exists(a, d) is not None
-                if hit:
-                    rhs = True
-                    break
-            if lhs != rhs:
-                return False, a
-    return True, None
+    return _sweep(
+        fam.base_sig, lambda a: fp_membership(a, fam) is not None, fam, templates, max_n, cache=cache
+    )
 
 
 def expand_partial_constraints(fam: PatternFamily, cap: int = EXPAND_CAP) -> PatternFamily:
@@ -581,13 +556,12 @@ def injective_expansion(fam: PatternFamily, cap: int = EXPAND_CAP) -> PatternFam
     same language, dropping every noncollapse constraint.
 
     A plain pattern occurs in a lift exactly when one of its quotients
-    occurs injectively, and a quotient of a quotient is again a quotient.
-    So a pattern with an unconstrained element pair splits into the
-    quotient that identifies the pair and the variant that keeps the pair
-    apart: an occurrence of the pattern either identifies the pair, and so
-    is an occurrence of the quotient, or keeps it apart.  Once every pair
-    is kept apart, plain matching of the pattern is injective matching.  Injective families already keep every
-    pair apart, so their constraints are simply dropped.
+    occurs injectively: the quotient by the partition of its elements that
+    the occurrence induces.  A noncollapse pair may not be identified, so
+    each pattern becomes its quotients by the partitions that keep every
+    noncollapse pair apart.  Injective families already keep every pair
+    apart, so their constraints are simply dropped.  `cap` bounds the
+    number of quotients.
     """
     if fam.mode_tag == "full":
         raise ValueError("full families have no injective expansion")
@@ -596,40 +570,16 @@ def injective_expansion(fam: PatternFamily, cap: int = EXPAND_CAP) -> PatternFam
     if fam.mode_tag == "injective":
         pats = tuple(Lift(p.struct, p.lift_arity, p.cover_mode) for p in fam.patterns)
         return PatternFamily(fam.sig, pats, "injective", fam.lift_arity)
-    queue = list(fam.patterns)
-    done = []
-    while queue:
-        if len(queue) + len(done) > cap:
-            raise GuardExceededError("partial-injective expansion exceeds the cap")
-        p = queue.pop()
-        n = p.struct.n
-        missing = None
-        for x in range(n):
-            for y in range(x + 1, n):
-                if (x, y) not in p.noncollapse:
-                    missing = (x, y)
-                    break
-            if missing:
-                break
-        if missing is None:
-            done.append(Lift(p.struct, p.lift_arity, p.cover_mode))
-            continue
-        x, y = missing
-        queue.append(Lift(p.struct, p.lift_arity, p.cover_mode, p.noncollapse | {(x, y)}, frozenset()))
-        # collapsed variant: identify y with x, constraints carried through images
-        cmap = _collapse_map(n, x, y)
-        q = quotient(p.struct, cmap, n - 1)
-        carried = set()
-        for u, v in p.noncollapse:
-            cu, cv = cmap[u], cmap[v]
-            if cu != cv:
-                carried.add(tuple(sorted((cu, cv))))
-            # a constrained pair forced together is contradictory: the
-            # collapsed variant only exists because (x, y) was unconstrained,
-            # so cu == cv can only happen via (x, y) itself
-        queue.append(Lift(q, p.lift_arity, "none", frozenset(carried), frozenset()))
-    pats = _dedup_lifts(done)
-    return PatternFamily(fam.sig, pats, "injective", fam.lift_arity)
+    out = []
+    for p in fam.patterns:
+        for assign, m in _set_partitions(p.struct.n, p.noncollapse):
+            if m == p.struct.n:  # the identity partition
+                out.append(Lift(p.struct, p.lift_arity, p.cover_mode))
+            else:
+                out.append(Lift(quotient(p.struct, assign, m), p.lift_arity, "none"))
+            if len(out) > cap:
+                raise GuardExceededError("partial-injective expansion exceeds the cap")
+    return PatternFamily(fam.sig, _dedup_lifts(out), "injective", fam.lift_arity)
 
 
 def _dedup_lifts(lifts):

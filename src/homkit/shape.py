@@ -180,10 +180,6 @@ def connected_components(a: Structure):
     return [induced(a, comp) for comp in connected_component_elements(a)]
 
 
-def is_connected(a: Structure) -> bool:
-    return len(connected_component_elements(a)) <= 1
-
-
 @dataclass(frozen=True)
 class Block:
     """One biconnected component: original element ids, its tuples, and a

@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
+from .homs import _set_partitions
 from .patterns import PatternFamily, _dedup_lifts, _group_programs, _walk_occurrences, solve_nogoods
 from .structures import HomMode, Lift, Signature, Structure
 
@@ -329,53 +330,44 @@ def uniformize_arity(phi: SNPFormula) -> SNPFormula:
     return SNPFormula(phi.input_sig, new_proof, tuple(clauses))
 
 
-def _substitute_clause(c: Clause, mapping) -> Clause | None:
-    """Apply a variable renaming; None if an inequality collapses."""
+def _substitute_clause(c: Clause, mapping) -> Clause:
+    """Apply a variable renaming."""
     variables = []
     for v in c.variables:
         w = mapping.get(v, v)
         if w not in variables:
             variables.append(w)
-    eps = []
-    for x, y in c.epsilon:
-        nx, ny = mapping.get(x, x), mapping.get(y, y)
-        if nx == ny:
-            return None
-        eps.append((nx, ny))
     return Clause(
         tuple(variables),
         tuple(a.substitute(mapping) for a in c.alpha),
         tuple(a.substitute(mapping) for a in c.beta),
-        tuple(eps),
+        tuple((mapping.get(x, x), mapping.get(y, y)) for x, y in c.epsilon),
     )
 
 
 def saturate_inequalities(phi: SNPFormula, cap: int = PRIMITIVIZE_CAP) -> SNPFormula:
-    """Add x != y for every variable pair, splitting off collapsed variants."""
-    queue = list(phi.clauses)
-    done = []
-    while queue:
-        if len(queue) + len(done) > cap:
-            raise GuardExceededError("inequality saturation exceeds the cap")
-        c = queue.pop()
-        have = {frozenset(p) for p in c.epsilon}
-        missing = None
-        for i, x in enumerate(c.variables):
-            for y in c.variables[i + 1 :]:
-                if frozenset((x, y)) not in have:
-                    missing = (x, y)
-                    break
-            if missing:
-                break
-        if missing is None:
-            done.append(c)
-            continue
-        x, y = missing
-        queue.append(Clause(c.variables, c.alpha, c.beta, c.epsilon + ((x, y),)))
-        collapsed = _substitute_clause(c, {y: x})
-        if collapsed is not None:
-            queue.append(collapsed)
-    return SNPFormula(phi.input_sig, phi.proof, _dedup_clauses(done))
+    """Add x != y for every variable pair, splitting off collapsed variants.
+
+    A clause becomes one clause per partition of its variables that keeps
+    its inequalities apart: each class is renamed to its first variable,
+    and every pair of the survivors gets an inequality.  `cap` bounds the
+    number of partitions.
+    """
+    out = []
+    for c in phi.clauses:
+        index = {v: i for i, v in enumerate(c.variables)}
+        apart = [(index[x], index[y]) for x, y in c.epsilon]
+        for assign, m in _set_partitions(len(c.variables), apart):
+            q = c
+            if m < len(c.variables):  # the identity partition renames nothing
+                first = {}
+                q = _substitute_clause(c, {v: first.setdefault(k, v) for v, k in zip(c.variables, assign)})
+            have = {frozenset(p) for p in q.epsilon}
+            missing = tuple(p for p in itertools.combinations(q.variables, 2) if frozenset(p) not in have)
+            out.append(Clause(q.variables, q.alpha, q.beta, q.epsilon + missing))
+            if len(out) > cap:
+                raise GuardExceededError("inequality saturation exceeds the cap")
+    return SNPFormula(phi.input_sig, phi.proof, _dedup_clauses(out))
 
 
 # ---------------------------------------------------------------------------

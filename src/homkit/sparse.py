@@ -53,6 +53,16 @@ def _small_targets(sig, k):
     return list(all_structures(sig, k))
 
 
+def _first_leak(b: Structure, avoided):
+    """The first target in `avoided` that `b` maps to, or None.
+
+    `avoided` holds the small targets that `a` does not map to, in catalog
+    order.  Once b -> a holds, this is the first small target on which `a`
+    and `b` disagree: every map of `a` composes through b -> a.
+    """
+    return next((c for c in avoided if hom_exists(b, c) is not None), None)
+
+
 def _blow_up(a: Structure, n_fiber: int, per_tuple: int, rng: random.Random) -> Structure:
     rels = {name: set() for name, _ in a.sig.symbols}
     for si, t in sorted(a.all_tuples()):
@@ -85,8 +95,7 @@ def sparse_replace(a: Structure, params: SparseParams) -> Structure:
     if girth(a) >= params.min_girth:
         return a
 
-    targets = _small_targets(a.sig, params.target_size)
-    a_answers = [hom_exists(a, c) is not None for c in targets]
+    avoided = [c for c in _small_targets(a.sig, params.target_size) if hom_exists(a, c) is None]
     n_fiber = params.fiber_size if params.fiber_size is not None else 16 * a.n
     if a.n * n_fiber > params.size_cap:
         raise GuardExceededError(
@@ -113,13 +122,7 @@ def sparse_replace(a: Structure, params: SparseParams) -> Structure:
         if not ok:
             failures.append((attempt, f"projection broken: {why}"))
             continue
-        bad = None
-        for c, want in zip(targets, a_answers):
-            if want:
-                continue  # maps compose through the projection; nothing to check
-            if hom_exists(b, c) is not None:
-                bad = c
-                break
+        bad = _first_leak(b, avoided)
         if bad is not None:
             failures.append((attempt, f"maps into a {bad.n}-point target that a avoids"))
             best = b
@@ -142,7 +145,7 @@ def verify_sparse(a: Structure, b: Structure, k: int, ell: int):
         return False, ("girth", found)
     if hom_exists(b, a) is None:
         return False, ("projection", None)
-    for c in _small_targets(a.sig, k):
-        if (hom_exists(a, c) is not None) != (hom_exists(b, c) is not None):
-            return False, ("small_targets", c)
+    bad = _first_leak(b, (c for c in _small_targets(a.sig, k) if hom_exists(a, c) is None))
+    if bad is not None:
+        return False, ("small_targets", bad)
     return True, None

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from homkit.cli import main
+from homkit.homs import hom_exists
 from homkit.structures import Structure, is_isomorphic
 from homkit.textio import parse_family, parse_structure
 
@@ -313,6 +314,18 @@ class TestPipelines:
             "--template", files["k3"], "-n", "3",
         )
         assert res.exit_code == 0
+
+    def test_verify_shadow_fails(self, files):
+        res, payload = run_json(
+            "verify", "shadow", "--family", files["three_col.fam"],
+            "--template", files["k2"], "-n", "3",
+        )
+        assert res.exit_code == 1
+        assert payload["verified"] is False
+        # the counterexample is 3-colourable but not 2-colourable
+        cex = parse_structure(payload["counterexample"])
+        assert hom_exists(cex, parse_structure(K3)) is not None
+        assert hom_exists(cex, parse_structure(K2)) is None
 
     def test_verify_sparse(self, files, tmp_path):
         from homkit.sparse import SparseParams, sparse_replace

@@ -14,8 +14,9 @@ from homkit.duality import (
 from homkit.enumeration import all_structures
 from homkit.errors import GuardExceededError, NotATreeError
 from homkit.homs import check_homomorphism, hom_equivalent, hom_exists, is_core
+from homkit.patterns import PatternFamily, verify_shadow_duality
 from homkit.shape import connected_component_elements, is_forest
-from homkit.structures import Homomorphism, induced, is_isomorphic, product
+from homkit.structures import Homomorphism, Lift, Structure, induced, is_isomorphic, make_signature, product
 
 from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, mixed_trees, point
 
@@ -90,6 +91,47 @@ def test_duality_for_all_small_trees():
     for t in all_trees(4):
         ok, cex = verify_duality([t], [tree_dual(t)], 4, cache=cache)
         assert ok, (t, cex)
+
+
+# The first counterexample of each sweep over digraphs with at most 4
+# elements, as (n, arcs), or None where the sweep passes.  Row i is the
+# i-th tree of `all_trees(3)` as the obstruction; column j checks it
+# against the dual of the j-th tree.
+TREE_DUALITY_COUNTEREXAMPLES = [
+    [None, (1, []), (1, []), (1, []), (1, [])],
+    [(1, []), None, None, (2, [(0, 1)]), None],
+    [(1, []), None, None, (3, [(0, 1), (0, 2)]), None],
+    [(1, []), (2, [(0, 1)]), (2, [(0, 1)]), None, (2, [(0, 1)])],
+    [(1, []), None, None, (3, [(0, 2), (1, 2)]), None],
+]
+# The same, with each tree as the one pattern of a one-colour family.
+TREE_SHADOW_COUNTEREXAMPLES = [
+    [None, (1, []), (1, []), (1, []), (1, [])],
+    [(1, []), None, None, (2, [(0, 1)]), None],
+    [(1, []), None, None, (2, [(0, 1)]), None],
+    [(1, []), (2, [(0, 1)]), (2, [(0, 1)]), None, (2, [(0, 1)])],
+    [(1, []), None, None, (2, [(0, 1)]), None],
+]
+
+
+def test_sweep_counterexamples_on_small_trees():
+    trees = all_trees(3)
+    arcs = [[], [(0, 1)], [(0, 1), (0, 2)], [(0, 2), (1, 0)], [(0, 2), (1, 2)]]
+    assert [sorted(t.rel("E")) for t in trees] == arcs
+    duals = [tree_dual(t) for t in trees]
+    csig = make_signature([("E", 2), ("C", 1)], lift=["C"])
+
+    def found(result):
+        ok, cex = result
+        assert ok == (cex is None)
+        return None if ok else (cex.n, sorted(cex.rel("E")))
+
+    cache = {}
+    for t, want_dual, want_shadow in zip(trees, TREE_DUALITY_COUNTEREXAMPLES, TREE_SHADOW_COUNTEREXAMPLES):
+        pat = Lift(Structure(csig, t.n, {"E": t.rel("E"), "C": [(x,) for x in range(t.n)]}), 1, "partition")
+        fam = PatternFamily(csig, (pat,), "plain", 1)
+        assert [found(verify_duality([t], [d], 4, cache=cache)) for d in duals] == want_dual
+        assert [found(verify_shadow_duality(fam, [d], 4, cache=cache)) for d in duals] == want_shadow
 
 
 class TestVerifyDuality:

@@ -112,6 +112,19 @@ class TestFunctors:
         assert shadow(back) == shadow(lift)
         assert back.struct.rel("C") == lift.struct.rel("C")
 
+    def test_empty_basis(self):
+        # a base signature without symbols leaves no blocks to read it from
+        sig = make_signature([("C", 1)], lift=["C"])
+        pat = Lift(Structure(sig, 1, {"C": [(0,)]}), 1, "partition")
+        fam = PatternFamily(sig, (pat,), "plain", 1)
+        basis = build_basis(fam)
+        assert basis.blocks == ()
+        base = fam.base_sig
+        assert theta(Structure(basis.beta, 2), basis) == Structure(base, 2)
+        assert reduce_backward(Structure(basis.beta, 2), fam, basis) == Structure(base, 2)
+        back = theta_lifted(Lift(Structure(basis.lifted, 2, {"C": [(0,), (1,)]}), 1, "partition"), basis)
+        assert back.struct == Structure(sig, 2, {"C": [(0,), (1,)]})
+
 
 class TestGPrime:
     def test_triangle_family_single_member(self):

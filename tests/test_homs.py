@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homkit.errors import InvalidStructureError
 from homkit.homs import (
+    _set_partitions,
     all_homs,
     check_homomorphism,
     core_of,
@@ -283,6 +284,24 @@ class TestHomImages:
 
     def test_point_image(self):
         assert hom_images(point()) == [point()]
+
+
+@st.composite
+def apart_pairs(draw):
+    """A size n <= 7 and pairs over range(n), loops and both orders included."""
+    n = draw(st.integers(0, 7))
+    if not n:
+        return n, []
+    elem = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(elem, elem), max_size=6))
+
+
+@given(apart_pairs())
+@settings(max_examples=200, deadline=None)
+def test_set_partitions_prunes_apart_pairs(case):
+    n, apart = case
+    want = [(assign, m) for assign, m in _set_partitions(n) if all(assign[x] != assign[y] for x, y in apart)]
+    assert list(_set_partitions(n, apart)) == want
 
 
 class TestHomEquivalence:

@@ -28,6 +28,7 @@ from homkit.structures import (
     PLAIN,
     Structure,
     classify_cover,
+    lift_canonical_form,
     make_signature,
     pullback_lift,
     shadow,
@@ -38,8 +39,10 @@ from util import (
     clique,
     dcycle,
     digraph,
+    monadic_families,
     naive_family_nogoods,
     naive_homs,
+    naive_injective_expansion,
     shadow_sharing_families,
     ue_structures,
 )
@@ -447,6 +450,13 @@ class TestExpandPartial:
                 fp_membership(a, out) is not None
             ), a
 
+    def test_noncollapse_pairs_are_unordered(self):
+        # (1, 0) keeps the pair apart as (0, 1) does: no one-element quotient
+        for pair in [(0, 1), (1, 0)]:
+            p = Lift(Structure(BSIG, 2, {"E": [(0, 1)], "C1": [(0,), (1,)]}), 1, "none", frozenset({pair}))
+            out = injective_expansion(PatternFamily(BSIG, (p,), "plain", 1))
+            assert [q.struct.n for q in out.patterns] == [2]
+
     def test_no_constraints_is_fixpoint(self):
         fam = two_col_family()
         assert expand_partial_constraints(fam) is fam
@@ -525,3 +535,29 @@ class TestExpandPartial:
         assert not any(q.free_tuples for q in out.patterns)
         for a in all_structures(DIGRAPH, 3):
             assert (fp_membership(a, fam) is not None) == (fp_membership(a, out) is not None)
+
+
+@st.composite
+def constrained_families(draw):
+    """Plain monadic families whose patterns carry noncollapse pairs x < y.
+
+    A pattern whose lift relations partition its elements keeps the cover
+    mode "partition" half the time, so both cover modes reach the identity
+    quotient.
+    """
+    fam = draw(monadic_families())
+    pats = []
+    for p in fam.patterns:
+        pairs = list(itertools.combinations(range(p.struct.n), 2))
+        kept = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+        cover = classify_cover(p.struct, 1)
+        cover = cover if cover == "partition" and draw(st.booleans()) else "none"
+        pats.append(Lift(p.struct, 1, cover, kept))
+    return PatternFamily(fam.sig, tuple(pats), "plain", 1)
+
+
+@given(constrained_families())
+@settings(max_examples=200, deadline=None)
+def test_injective_expansion_matches_the_pairwise_worklist(fam):
+    got = [lift_canonical_form(p) for p in injective_expansion(fam).patterns]
+    assert got == [lift_canonical_form(p) for p in naive_injective_expansion(fam)]

@@ -31,6 +31,7 @@ from util import (
     digraph,
     mixed_structures,
     naive_formula_nogoods,
+    naive_saturate_inequalities,
     shadow_sharing_formulas,
     ue_structures,
 )
@@ -307,6 +308,25 @@ def test_saturate_splits_pairs():
     assert len(phi2.clauses) == 2
     sizes = sorted(len(c.variables) for c in phi2.clauses)
     assert sizes == [1, 2]
+
+
+def _saturated_keys(phi):
+    clauses = saturate_inequalities(phi).clauses
+    keys = {c.key() for c in clauses}
+    assert len(keys) == len(clauses)
+    return keys
+
+
+@given(mixed_formulas())
+@settings(max_examples=200, deadline=None)
+def test_saturate_matches_the_pairwise_worklist(phi):
+    assert _saturated_keys(phi) == naive_saturate_inequalities(phi)
+
+
+def test_saturate_matches_the_pairwise_worklist_on_primitive_corpus():
+    for phi in _formula_corpus():
+        psi = primitivize(phi)
+        assert _saturated_keys(psi) == naive_saturate_inequalities(psi), serialize_snp(phi)
 
 
 class TestTranslations:

@@ -9,7 +9,8 @@ import itertools
 from hypothesis import strategies as st
 
 from homkit.errors import GuardExceededError
-from homkit.fv import GPRIME_ASSEMBLY_CAP, _color_compatible_partitions, _tuple_candidates
+from homkit.fv import GPRIME_ASSEMBLY_CAP, _tuple_candidates
+from homkit.homs import _set_partitions
 from homkit.patterns import PatternFamily, _minimal_patterns, pattern_color_map
 from homkit.shape import shortest_cycle
 from homkit.snp import Atom, Clause, SNPFormula
@@ -204,7 +205,10 @@ def naive_gprime(fam, basis, cap=GPRIME_ASSEMBLY_CAP):
             continue
         color_of = {t[0]: c for t, c in cmap.items()}
         sh = shadow(p)
-        for assign, m in _color_compatible_partitions(p.struct.n, color_of):
+        for assign, m in _set_partitions(p.struct.n):
+            first = {}
+            if any(first.setdefault(c, color_of.get(x)) != color_of.get(x) for x, c in enumerate(assign)):
+                continue  # a class holds two colours
             h = quotient(sh, assign, m)
             core_colors = {}
             for x in range(p.struct.n):
@@ -393,3 +397,72 @@ def shadow_sharing_formulas(draw):
         eps = draw(st.lists(st.sampled_from(pairs), max_size=1)) if pairs else []
         clauses.append(Clause(tuple(names), tuple(shared + negated), tuple(beta), tuple(eps)))
     return SNPFormula(UE, SHARING_PROOF, tuple(clauses))
+
+
+def naive_injective_expansion(fam):
+    """`patterns.injective_expansion` on a plain family, one pair at a time.
+
+    A worklist takes a pattern's first pair (x, y), x < y, missing from its
+    noncollapse pairs and splits the pattern into the variant that keeps
+    the pair apart and the quotient that merges y into x.  Patterns with
+    every pair apart are the quotients; only the unsplit original keeps
+    its cover mode.  Returns them deduplicated by `lift_canonical_form`,
+    sorted by size and then by that form.
+    """
+    queue = list(fam.patterns)
+    done = []
+    while queue:
+        p = queue.pop()
+        n = p.struct.n
+        missing = next(
+            ((x, y) for x in range(n) for y in range(x + 1, n) if (x, y) not in p.noncollapse), None
+        )
+        if missing is None:
+            done.append(Lift(p.struct, p.lift_arity, p.cover_mode))
+            continue
+        x, y = missing
+        queue.append(Lift(p.struct, p.lift_arity, p.cover_mode, p.noncollapse | {(x, y)}))
+        cmap = [x if z == y else z - (z > y) for z in range(n)]
+        carried = frozenset(tuple(sorted((cmap[u], cmap[v]))) for u, v in p.noncollapse)
+        queue.append(Lift(quotient(p.struct, cmap, n - 1), p.lift_arity, "none", carried))
+    seen = {}
+    for p in done:
+        seen.setdefault(lift_canonical_form(p), p)
+    return sorted(seen.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+
+
+def naive_saturate_inequalities(phi):
+    """The clause keys of `snp.saturate_inequalities`, one pair at a time.
+
+    A worklist takes a clause's first variable pair without an inequality
+    and splits the clause into the variant with x != y and the one that
+    renames y to x; a variant whose inequality collapses to x != x is
+    dropped.
+    """
+    queue = list(phi.clauses)
+    keys = set()
+    while queue:
+        c = queue.pop()
+        have = {frozenset(p) for p in c.epsilon}
+        missing = next(
+            ((x, y) for i, x in enumerate(c.variables) for y in c.variables[i + 1 :] if frozenset((x, y)) not in have),
+            None,
+        )
+        if missing is None:
+            keys.add(c.key())
+            continue
+        x, y = missing
+        queue.append(Clause(c.variables, c.alpha, c.beta, c.epsilon + ((x, y),)))
+        ren = {y: x}
+        eps = tuple((ren.get(u, u), ren.get(v, v)) for u, v in c.epsilon)
+        if any(u == v for u, v in eps):
+            continue
+        queue.append(
+            Clause(
+                tuple(v for v in c.variables if v != y),
+                tuple(a.substitute(ren) for a in c.alpha),
+                tuple(a.substitute(ren) for a in c.beta),
+                eps,
+            )
+        )
+    return keys
