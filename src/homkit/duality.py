@@ -72,38 +72,7 @@ def tree_dual(t: Structure, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Structu
                 blocked[np.ix_(*(funcs[:, x] == ti for x in tp))] = True
         rels[name] = np.argwhere(~blocked).tolist()
 
-    return core_of(_retract_dominated(Structure(t.sig, size, rels)))
-
-
-def _retract_dominated(a: Structure) -> Structure:
-    """Cheap pre-coring: drop y when some x absorbs it (y -> x pointwise).
-
-    Each pass tests every live y against every other live x on the tuples
-    of y whose elements are all still live, dropping y at once when one
-    absorbs it; passes repeat until one drops nothing, since a removal can
-    make an earlier element dominated.
-    """
-    n = a.n
-    by_elem = [[] for _ in range(n)]
-    for si, tp in a.all_tuples():
-        for x in set(tp):
-            by_elem[x].append((si, tp))
-    live = [True] * n
-    changed = True
-    while changed:
-        changed = False
-        for y in range(n):
-            if not live[y]:
-                continue
-            incident = [(a.rels[si], tp) for si, tp in by_elem[y] if all(live[z] for z in tp)]
-            for x in range(n):
-                if x == y or not live[x]:
-                    continue
-                if all(tuple(x if z == y else z for z in tp) in rel for rel, tp in incident):
-                    live[y] = False
-                    changed = True
-                    break
-    return induced(a, [z for z in range(n) if live[z]])
+    return core_of(Structure(t.sig, size, rels))
 
 
 def forest_family_duals(family, universe_cap: int = DEFAULT_UNIVERSE_CAP, product_cap: int = 4096):
@@ -132,7 +101,7 @@ def forest_family_duals(family, universe_cap: int = DEFAULT_UNIVERSE_CAP, produc
             for cd in comp_duals:
                 if d.n * cd.n > product_cap:
                     raise GuardExceededError("dual product exceeds the product cap")
-                nxt.append(core_of(_retract_dominated(product(d, cd))))
+                nxt.append(core_of(product(d, cd)))
         duals = nxt
     return dedup_hom_equivalent(duals)
 

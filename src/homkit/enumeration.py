@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import GuardExceededError
 from .homs import hom_exists
+from .shape import shortest_cycle
 from .structures import Signature, Structure, canonical_form
 
 MAX_BITS = 26
@@ -227,8 +228,6 @@ def high_girth_structures(sig: Signature, max_n: int, min_girth: int, max_tuples
     so every qualifying class is reached.  `max_tuples` optionally bounds
     the relation size.
     """
-    from .shape import shortest_cycle
-
     for n in range(max_n + 1):
         slots = tuple_slots(sig, n)
         empty = Structure(sig, n)

@@ -24,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .duality import forest_family_duals
 from .errors import GuardExceededError, GirthTooSmallError
 from .homs import _set_partitions, hom_maps
-from .patterns import PatternFamily, _minimal_patterns, pattern_color_map
+from .patterns import PatternFamily, _minimal_patterns, _shadow_templates, pattern_color_map
 from .shape import _join_classes, biconnected_components, shortest_cycle
 from .structures import (
     Lift,
@@ -285,19 +286,13 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
 
 def reduce_forward(a: Structure, fam: PatternFamily, basis=None, duality_caps=None):
     """(psi(a), derived family, base templates or None on a size cap)."""
-    from .duality import forest_family_duals, dedup_hom_equivalent
-    from .homs import core_of
-    from .patterns import partition_power
-
     if basis is None:
         basis = build_basis(fam)
     gfam = build_gprime(fam, basis)
     image = psi(a, basis)
     try:
         duals = forest_family_duals([p.struct for p in gfam.patterns], **(duality_caps or {}))
-        templates = tuple(
-            dedup_hom_equivalent([core_of(partition_power(basis.beta, d)) for d in duals])
-        )
+        templates = _shadow_templates(basis.beta, duals)
     except GuardExceededError:
         templates = None
     return image, gfam, templates

@@ -14,6 +14,13 @@ maps come out in lexicographic order over it.  Every pruning step removes
 only values that lie in no solution, so it changes the speed but never
 which map comes first: `hom_exists` witnesses and `hom_maps` sequences do
 not depend on how much is pruned.
+
+A core is found in two steps.  One retraction pass first drops every
+element that another one absorbs pointwise.  Then each round makes one
+search per element x for a map a -> a - x (the substructure induced on
+every element but x); the first map found misses x, and its image, a
+smaller hom-equivalent substructure, starts the next round.  A round in
+which no element can be avoided ends at the core.
 """
 
 from __future__ import annotations
@@ -392,41 +399,64 @@ def hom_equivalent(a: Structure, b: Structure) -> bool:
 # cores and homomorphic images
 # ---------------------------------------------------------------------------
 
-def _collapse_map(n: int, x: int, y: int):
-    """Surjection 0..n-1 -> 0..n-2 identifying y with x (x < y)."""
-    m = []
-    for z in range(n):
-        if z == y:
-            z = x
-        m.append(z - 1 if z > y else z)
-    return m
+def _retract_dominated(a: Structure) -> Structure:
+    """Cheap pre-coring: drop y when some x absorbs it (y -> x pointwise).
+
+    Each pass tests every live y against every other live x on the tuples
+    of y whose elements are all still live, dropping y at once when one
+    absorbs it; passes repeat until one drops nothing, since a removal can
+    make an earlier element dominated.
+    """
+    n = a.n
+    by_elem = [[] for _ in range(n)]
+    for si, tp in a.all_tuples():
+        for x in set(tp):
+            by_elem[x].append((si, tp))
+    live = [True] * n
+    changed = True
+    while changed:
+        changed = False
+        for y in range(n):
+            if not live[y]:
+                continue
+            incident = [(a.rels[si], tp) for si, tp in by_elem[y] if all(live[z] for z in tp)]
+            for x in range(n):
+                if x == y or not live[x]:
+                    continue
+                if all(tuple(x if z == y else z for z in tp) in rel for rel, tp in incident):
+                    live[y] = False
+                    changed = True
+                    break
+    return induced(a, [z for z in range(n) if live[z]])
 
 
-def _find_collapse(a: Structure):
-    """A non-injective endomorphism of `a`, or None if every one is bijective."""
+def _shrinking_endo(a: Structure):
+    """A non-surjective endomorphism of `a` as a list, or None if `a` is a core.
+
+    One search per element x for a map a -> a - x, read back in `a`'s
+    numbering; every search shares `a`'s cached source plan.
+    """
     for x in range(a.n):
-        for y in range(x + 1, a.n):
-            cmap = _collapse_map(a.n, x, y)
-            q = quotient(a, cmap, a.n - 1)
-            m = next(_run_search(q, a, PLAIN, natural=False), None)
-            if m is not None:
-                return [m[c] for c in cmap]
+        keep = [z for z in range(a.n) if z != x]
+        m = next(_run_search(a, induced(a, keep), PLAIN, natural=False), None)
+        if m is not None:
+            return [keep[v] for v in m]
     return None
 
 
 def is_core(a: Structure) -> bool:
     """True iff every endomorphism of `a` is an automorphism."""
-    return _find_collapse(a) is None
+    return _shrinking_endo(a) is None
 
 
 def core_of(a: Structure) -> Structure:
     """The unique (up to isomorphism) hom-equivalent core substructure."""
-    current = a
+    current = _retract_dominated(a)
     while True:
-        endo = _find_collapse(current)
+        endo = _shrinking_endo(current)
         if endo is None:
             return current
-        current = induced(current, set(endo))
+        current = induced(current, endo)
 
 
 def _set_partitions(n: int, apart=()):

@@ -26,6 +26,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 
+from .duality import dedup_hom_equivalent, forest_family_duals, terminal_structure
 from .enumeration import _sweep, all_structures
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from .homs import _set_partitions, core_of, hom_exists, hom_images, hom_maps
@@ -446,8 +447,6 @@ def decide_finite_union_csp(fam: PatternFamily, duality_caps=None) -> DecisionOu
     witness.  If the dual construction hits a size cap the positive
     verdict is still returned, without templates.
     """
-    from .duality import forest_family_duals, dedup_hom_equivalent, terminal_structure
-
     norm = normalize_family(fam)
     base = fam.base_sig
     if not norm.patterns:
@@ -467,10 +466,12 @@ def decide_finite_union_csp(fam: PatternFamily, duality_caps=None) -> DecisionOu
         duals = forest_family_duals([p.struct for p in norm.patterns], **kwargs)
     except GuardExceededError as e:
         return DecisionOutcome("finite_union_csp", templates=None, note=f"duality cap: {e}")
-    templates = dedup_hom_equivalent(
-        [core_of(partition_power(base, d)) for d in duals]
-    )
-    return DecisionOutcome("finite_union_csp", templates=tuple(templates))
+    return DecisionOutcome("finite_union_csp", templates=_shadow_templates(base, duals))
+
+
+def _shadow_templates(base: Signature, duals) -> tuple:
+    """Base templates of lifted duals: cored partition powers, one per CSP."""
+    return tuple(dedup_hom_equivalent([core_of(partition_power(base, d)) for d in duals]))
 
 
 def corroborate_negative(fam: PatternFamily, template_size: int = 2, set_size: int = 2, max_n: int = 3):

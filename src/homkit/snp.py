@@ -23,6 +23,7 @@ from .errors import GuardExceededError, ParseError, SignatureMismatchError
 from .homs import _set_partitions
 from .patterns import PatternFamily, _dedup_lifts, _group_programs, _walk_occurrences, solve_nogoods
 from .structures import HomMode, Lift, Signature, Structure
+from .textio import TokenStream, tokenize
 
 PRIMITIVIZE_CAP = 1 << 14
 EVAL_BITS_CAP = 20
@@ -108,8 +109,6 @@ def restriction_report(phi: SNPFormula) -> RestrictionReport:
 
 def parse_snp(text: str) -> SNPFormula:
     """Parse `snp name { input {..} proof {..} clause NOT( .. ) ; .. }`."""
-    from .textio import TokenStream, tokenize
-
     ts = TokenStream(tokenize(text))
     ts.expect("snp")
     ts.expect_kind("name")

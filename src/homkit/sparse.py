@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from .enumeration import all_structures
 from .errors import GuardExceededError, HomkitError
 from .homs import check_homomorphism, hom_exists
 from .shape import girth, shortest_cycle
@@ -48,8 +49,6 @@ class SparseParams:
 
 
 def _small_targets(sig, k):
-    from .enumeration import all_structures
-
     return list(all_structures(sig, k))
 
 

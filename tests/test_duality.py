@@ -1,10 +1,7 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 
 from homkit.duality import (
-    _retract_dominated,
     dedup_hom_equivalent,
     forest_family_duals,
     terminal_structure,
@@ -13,12 +10,12 @@ from homkit.duality import (
 )
 from homkit.enumeration import all_structures
 from homkit.errors import GuardExceededError, NotATreeError
-from homkit.homs import check_homomorphism, hom_equivalent, hom_exists, is_core
+from homkit.homs import hom_equivalent, hom_exists, is_core
 from homkit.patterns import PatternFamily, verify_shadow_duality
 from homkit.shape import connected_component_elements, is_forest
-from homkit.structures import Homomorphism, Lift, Structure, induced, is_isomorphic, make_signature, product
+from homkit.structures import Lift, Structure, is_isomorphic, make_signature, product
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_structures, mixed_trees, point
+from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_trees, point
 
 
 class TestTreeDual:
@@ -234,17 +231,3 @@ def test_product_respects_csp_intersection():
         lhs = hom_exists(a, p) is not None
         rhs = hom_exists(a, b) is not None and hom_exists(a, c) is not None
         assert lhs == rhs
-
-
-@settings(max_examples=150, deadline=None)
-@given(mixed_structures())
-def test_retract_dominated_is_an_equivalent_induced_substructure(a):
-    r = _retract_dominated(a)
-    assert hom_equivalent(a, r)
-    assert any(
-        induced(a, keep) == r for keep in itertools.combinations(range(a.n), r.n)
-    )
-    # no element is left that another one absorbs
-    for y, x in itertools.permutations(range(r.n), 2):
-        fold = tuple(x if z == y else z for z in range(r.n))
-        assert not check_homomorphism(Homomorphism(r, r, fold))[0]

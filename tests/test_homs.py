@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from homkit.errors import InvalidStructureError
 from homkit.homs import (
+    _retract_dominated,
     _set_partitions,
     all_homs,
     check_homomorphism,
@@ -24,6 +25,7 @@ from homkit.structures import (
     HomMode,
     Homomorphism,
     canonical_form,
+    induced,
     is_isomorphic,
 )
 
@@ -35,7 +37,9 @@ from util import (
     dpath,
     loop_vertex,
     mixed_structures,
+    naive_core_size,
     naive_homs,
+    naive_isomorphic,
     naive_valid,
     point,
     scycle,
@@ -267,6 +271,51 @@ class TestCores:
             c = core_of(a)
             assert is_isomorphic(core_of(c), c)
             assert hom_equivalent(a, c)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_core_of_dominated_extension_of_c7(self, seed):
+        # grow the symmetric 7-cycle to 18 vertices: each new vertex v copies
+        # a random nonempty part of some earlier vertex s's arcs, so v -> s
+        # is a retraction and the core stays C7
+        rng = random.Random(seed)
+        arcs = set(scycle(7).rel("E"))
+        for v in range(7, 18):
+            s = rng.randrange(v)
+            outs = [y for (x, y) in arcs if x == s]
+            ins = [x for (x, y) in arcs if y == s]
+            picked = [(v, y) for y in outs if rng.random() < 0.6] + [(x, v) for x in ins if rng.random() < 0.6]
+            if not picked:
+                picked = [(v, outs[0])] if outs else [(ins[0], v)]
+            arcs.update(picked)
+        perm = list(range(18))
+        rng.shuffle(perm)
+        c = core_of(digraph(18, [(perm[x], perm[y]) for x, y in arcs]))
+        assert c.n == 7
+        assert naive_isomorphic(c, scycle(7))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_structures(max_n=5))
+def test_core_matches_exhaustive_core_size(a):
+    size = naive_core_size(a)
+    c = core_of(a)
+    assert c.n == size
+    assert is_core(a) == (size == a.n)
+    assert hom_exists(a, c) is not None and hom_exists(c, a) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_structures())
+def test_retract_dominated_is_an_equivalent_induced_substructure(a):
+    r = _retract_dominated(a)
+    assert hom_equivalent(a, r)
+    assert any(
+        induced(a, keep) == r for keep in itertools.combinations(range(a.n), r.n)
+    )
+    # no element is left that another one absorbs
+    for y, x in itertools.permutations(range(r.n), 2):
+        fold = tuple(x if z == y else z for z in range(r.n))
+        assert not check_homomorphism(Homomorphism(r, r, fold))[0]
 
 
 class TestHomImages:

@@ -93,6 +93,11 @@ def naive_homs(a, b, mode_tag="plain", noncollapse=(), free_tuples=()):
     return out
 
 
+def naive_core_size(a):
+    """Size of the core of a: the smallest image of an endomorphism, by exhaustion."""
+    return min(len(set(m)) for m in naive_homs(a, a))
+
+
 def naive_isomorphic(a, b, colors_a=None, colors_b=None):
     """Is some bijection a -> b onto every relation and colour-preserving?
 
