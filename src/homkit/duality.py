@@ -27,7 +27,7 @@ import numpy as np
 
 from .enumeration import _sweep
 from .errors import GuardExceededError, NotATreeError
-from .homs import core_of, hom_exists
+from .homs import _maps_to, core_of
 from .shape import connected_component_elements, shortest_cycle
 from .structures import Structure, canonical_form, induced, product
 
@@ -115,9 +115,9 @@ def dedup_hom_equivalent(structures):
     """Keep one representative per CSP: drop members mapping into a kept one."""
     kept = []
     for s in sorted(structures, key=lambda x: (x.n, canonical_form(x)[2])):
-        if any(hom_exists(s, k) is not None for k in kept):
+        if any(_maps_to(s, k) for k in kept):
             continue
-        kept = [k for k in kept if hom_exists(k, s) is None]
+        kept = [k for k in kept if not _maps_to(k, s)]
         kept.append(s)
     return kept
 
@@ -153,5 +153,5 @@ def verify_duality(forb, duals, max_n: int, cache=None):
         raise ValueError("verify_duality needs at least one structure to fix the signature")
     seeds = forb + duals + _probe_structures(sig, max_n)
     return _sweep(
-        sig, lambda a: all(hom_exists(f, a) is None for f in forb), tuple(forb), duals, max_n, seeds, cache
+        sig, lambda a: not any(_maps_to(f, a) for f in forb), tuple(forb), duals, max_n, seeds, cache
     )

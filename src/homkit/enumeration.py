@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 
 from .errors import GuardExceededError
-from .homs import hom_exists
+from .homs import _maps_to
 from .shape import shortest_cycle
 from .structures import Signature, Structure, canonical_form
 
@@ -205,7 +205,7 @@ def _sweep(sig: Signature, in_language, key, templates, max_n: int, seeds=(), ca
         for d, memo in zip(templates, maps):
             hit = memo.get(k)
             if hit is None:
-                hit = memo[k] = hom_exists(a, d) is not None
+                hit = memo[k] = _maps_to(a, d)
             if hit:
                 return not inside
         return inside

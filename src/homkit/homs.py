@@ -117,6 +117,14 @@ def _check_mode(a: Structure, mode: HomMode):
             raise InvalidStructureError(f"free slot {slot!r} is not a {name}-tuple over 0..{a.n - 1}")
 
 
+def _push(table, i, item):
+    """Append item to table[i], giving the slot its own list on first use."""
+    if table[i]:
+        table[i].append(item)
+    else:
+        table[i] = [item]
+
+
 def _source_plan(a: Structure, mode: HomMode, natural: bool):
     """Compile the source side of a search once per (structure, mode, order).
 
@@ -131,11 +139,16 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
       the earlier partner and pruned from the later partner's domain.
     Sources with more than 4 elements also carry watch lists for the arc
     pass: per element x, the partners and codes revised when D(x) shrinks.
+    A plan allocates only what its mode and signature use.  A table that
+    stays empty (checks2 outside full mode, checks without a symbol of arity
+    3 or more, the collapse tables without noncollapse pairs) is one shared
+    tuple of empty tuples.  Full-mode checks2 has a list per stage; in the
+    other tables a slot gets a list at its first entry, so outside full mode
+    node holds lists only for elements with an all-equal tuple.  Watch lists
+    exist for the elements in some tuple, or for all of them in full mode.
     """
-    if mode.noncollapse or mode.free_tuples:
-        key = ("plan", mode.tag, natural, mode.noncollapse, mode.free_tuples)
-    else:
-        key = (mode.tag, natural)
+    partial = mode.noncollapse or mode.free_tuples
+    key = ("plan", mode.tag, natural, mode.noncollapse, mode.free_tuples) if partial else (mode.tag, natural)
     plan = a._cache.get(key)
     if plan is not None:
         return plan
@@ -143,40 +156,39 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
     n = a.n
     full = mode.tag == "full"
     deg = [0] * n
-    for r in a.rels:
+    for (_, arity), r in zip(a.sig.symbols, a.rels):
         for t in r:
-            for x in set(t):
+            for x in (t if arity == 2 and t[0] != t[1] else set(t)):
                 deg[x] += 1
-    order = list(range(n)) if natural else sorted(range(n), key=lambda x: (-deg[x], x))
+    order = list(range(n)) if natural else sorted(range(n), key=deg.__getitem__, reverse=True)
     stage_of = [0] * n
     for s, x in enumerate(order):
         stage_of[x] = s
     free = {(a.sig.index(name), t) for name, t in mode.free_tuples}
 
-    node = [[] for _ in range(n)]  # per element: (symbol, present)
-    fwd = [[] for _ in range(n)]  # per stage: (later element, code)
-    checks2 = [[] for _ in range(n)]  # per stage: (symbol, u, v) that must stay absent
-    checks = [[] for _ in range(n)]  # per stage: (symbol, tuple, present)
+    empty = ((),) * n
+    node = [()] * n  # per element: (symbol, present)
+    fwd = [()] * n  # per stage: (later element, code)
+    checks2 = [[] for _ in range(n)] if full else empty  # per stage: (symbol, u, v) that must stay absent
+    checks = [()] * n if any(k > 2 for _, k in a.sig.symbols) else empty  # per stage: (symbol, tuple, present)
     watch = n > 4  # on smaller sources the arc pass costs more than it prunes
-    partners = [[] for _ in range(n)] if watch else None
-    codes = [[] for _ in range(n)] if watch else None
+    partners = [[] if full or d else () for d in deg] if watch else None
+    codes = [[] if full or d else () for d in deg] if watch else None
     for si, (_, arity) in enumerate(a.sig.symbols):
         ra = a.rels[si]
         for x in range(n):
             t = (x,) * arity
-            if t in ra:
-                node[x].append((si, True))
-            elif full and (si, t) not in free:
-                node[x].append((si, False))
+            if t in ra or full and (si, t) not in free:
+                _push(node, x, (si, t in ra))
         if arity == 2:
             code = 4 * si
             for u, v in ra:
                 if u == v:
                     continue
                 if stage_of[u] < stage_of[v]:
-                    fwd[stage_of[u]].append((v, code))
+                    _push(fwd, stage_of[u], (v, code))
                 else:
-                    fwd[stage_of[v]].append((u, code + 1))
+                    _push(fwd, stage_of[v], (u, code + 1))
                 if watch:
                     partners[u].append(v)
                     codes[u].append(code)
@@ -201,19 +213,17 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
             for t in slots:
                 present = t in ra
                 if (present or (si, t) not in free) and t.count(t[0]) != arity:
-                    checks[max(stage_of[x] for x in t)].append((si, t, present))
+                    _push(checks, max(map(stage_of.__getitem__, t)), (si, t, present))
 
-    collapse_check = [[] for _ in range(n)]
-    collapse_fwd = [[] for _ in range(n)]
+    collapse_check, collapse_fwd = ([()] * n, [()] * n) if mode.noncollapse else (empty, empty)
     for x, y in mode.noncollapse:
         sx, sy = stage_of[x], stage_of[y]
         if sx > sy:
             x, y, sx, sy = y, x, sy, sx
-        collapse_check[sy].append(x)
-        collapse_fwd[sx].append(y)
+        _push(collapse_check, sy, x)
+        _push(collapse_fwd, sx, y)
 
-    watches = (partners, codes) if watch else None
-    plan = (order, checks2, checks, fwd, node, watches, collapse_check, collapse_fwd)
+    plan = (order, checks2, checks, fwd, node, (partners, codes) if watch else None, collapse_check, collapse_fwd)
     a._cache[key] = plan
     return plan
 
@@ -391,8 +401,13 @@ def all_homs(a: Structure, b: Structure, mode: HomMode = PLAIN):
         yield Homomorphism(a, b, m, mode)
 
 
+def _maps_to(a: Structure, b: Structure, mode: HomMode = PLAIN) -> bool:
+    """Whether `a` maps to `b`, for callers that need no witness."""
+    return next(_run_search(a, b, mode, natural=False), None) is not None
+
+
 def hom_equivalent(a: Structure, b: Structure) -> bool:
-    return hom_exists(a, b) is not None and hom_exists(b, a) is not None
+    return _maps_to(a, b) and _maps_to(b, a)
 
 
 # ---------------------------------------------------------------------------

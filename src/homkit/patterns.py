@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .duality import dedup_hom_equivalent, forest_family_duals, terminal_structure
 from .enumeration import _sweep, all_structures
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
-from .homs import _set_partitions, core_of, hom_exists, hom_images, hom_maps
+from .homs import _maps_to, _set_partitions, core_of, hom_exists, hom_images, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -396,8 +396,8 @@ def _minimal_patterns(pats) -> tuple:
     minimal = []
     for i, p in enumerate(pats):
         for j, q in enumerate(pats):
-            if i != j and hom_exists(q.struct, p.struct) is not None:
-                if i < j and hom_exists(p.struct, q.struct) is not None:
+            if i != j and _maps_to(q.struct, p.struct):
+                if i < j and _maps_to(p.struct, q.struct):
                     continue
                 break
         else:

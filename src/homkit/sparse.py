@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .enumeration import all_structures
 from .errors import GuardExceededError, HomkitError
-from .homs import check_homomorphism, hom_exists
+from .homs import _maps_to, check_homomorphism
 from .shape import girth, shortest_cycle
 from .structures import PLAIN, Homomorphism, Structure
 
@@ -59,7 +59,7 @@ def _first_leak(b: Structure, avoided):
     order.  Once b -> a holds, this is the first small target on which `a`
     and `b` disagree: every map of `a` composes through b -> a.
     """
-    return next((c for c in avoided if hom_exists(b, c) is not None), None)
+    return next((c for c in avoided if _maps_to(b, c)), None)
 
 
 def _blow_up(a: Structure, n_fiber: int, per_tuple: int, rng: random.Random) -> Structure:
@@ -94,7 +94,7 @@ def sparse_replace(a: Structure, params: SparseParams) -> Structure:
     if girth(a) >= params.min_girth:
         return a
 
-    avoided = [c for c in _small_targets(a.sig, params.target_size) if hom_exists(a, c) is None]
+    avoided = [c for c in _small_targets(a.sig, params.target_size) if not _maps_to(a, c)]
     n_fiber = params.fiber_size if params.fiber_size is not None else 16 * a.n
     if a.n * n_fiber > params.size_cap:
         raise GuardExceededError(
@@ -142,9 +142,9 @@ def verify_sparse(a: Structure, b: Structure, k: int, ell: int):
     found = shortest_cycle(b, shorter_than=ell)
     if found is not None:
         return False, ("girth", found)
-    if hom_exists(b, a) is None:
+    if not _maps_to(b, a):
         return False, ("projection", None)
-    bad = _first_leak(b, (c for c in _small_targets(a.sig, k) if hom_exists(a, c) is None))
+    bad = _first_leak(b, (c for c in _small_targets(a.sig, k) if not _maps_to(a, c)))
     if bad is not None:
         return False, ("small_targets", bad)
     return True, None

@@ -151,6 +151,15 @@ class Structure:
         return f"Structure(n={self.n}{', ' + parts if parts else ''})"
 
 
+def _freeze_constraints(obj):
+    """Store `noncollapse` and `free_tuples` as frozensets, whatever collection was passed.
+
+    Both are hashed: into the object's own hash and into search-plan cache keys.
+    """
+    object.__setattr__(obj, "noncollapse", frozenset(obj.noncollapse))
+    object.__setattr__(obj, "free_tuples", frozenset(obj.free_tuples))
+
+
 @dataclass(frozen=True)
 class HomMode:
     """How a map must treat tuples: plain, injective, or full.
@@ -169,6 +178,7 @@ class HomMode:
     def __post_init__(self):
         if self.tag not in ("plain", "injective", "full"):
             raise ValueError(f"unknown homomorphism mode {self.tag!r}")
+        _freeze_constraints(self)
 
     def is_partial(self) -> bool:
         return bool(self.noncollapse) or bool(self.free_tuples)
@@ -228,6 +238,7 @@ class Lift:
     free_tuples: frozenset = frozenset()
 
     def __post_init__(self):
+        _freeze_constraints(self)
         if self.cover_mode not in ("none", "covering", "partition"):
             raise InvalidStructureError(f"unknown cover_mode {self.cover_mode!r}")
         sig = self.struct.sig

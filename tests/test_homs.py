@@ -33,6 +33,7 @@ from util import (
     MIXED,
     clique,
     dcycle,
+    degree_order,
     digraph,
     dpath,
     loop_vertex,
@@ -176,10 +177,11 @@ def test_full_mode_free_slots_match_naive(instance):
 
 
 @st.composite
-def arc_pass_instances(draw):
-    """A 5- or 6-element source, large enough for the arc pass, a 2- or 3-element
-    target, and a mode with random noncollapse pairs and, in full mode, free slots."""
-    a = draw(mixed_structures(max_n=6, max_tuples=5, min_n=5))
+def arc_pass_instances(draw, min_n=5):
+    """A source of min_n to 6 elements (5 or more is large enough for the arc
+    pass), a 2- or 3-element target, and a mode with random noncollapse pairs
+    and, in full mode, free slots."""
+    a = draw(mixed_structures(max_n=6, max_tuples=5, min_n=min_n))
     b = draw(mixed_structures(max_n=3, max_tuples=9, min_n=2))
     tag = draw(st.sampled_from(["plain", "injective", "full"]))
     pairs = st.tuples(st.integers(0, a.n - 1), st.integers(0, a.n - 1)).filter(lambda p: p[0] != p[1])
@@ -203,6 +205,20 @@ def test_arc_pass_sources_match_naive(instance):
     if h is not None:
         ok, why = check_homomorphism(h)
         assert ok, why
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_pass_instances(min_n=1))
+def test_witness_is_least_map_in_degree_order(instance):
+    # values are tried in increasing order along the degree order, and
+    # pruning only drops values that lie in no map, so the first map found is
+    # the least one read in that order
+    a, b, tag, noncollapse, free = instance
+    order = degree_order(a)
+    expected = naive_homs(a, b, tag, noncollapse, free)
+    least = min(expected, key=lambda m: [m[x] for x in order], default=None)
+    h = hom_exists(a, b, HomMode(tag, noncollapse, free))
+    assert (None if h is None else h.mapping) == least
 
 
 def _transitive_tournament(k):
@@ -249,6 +265,20 @@ def test_malformed_mode_constraints_are_rejected(mode, named):
         hom_exists(a, clique(3), mode)
     with pytest.raises(InvalidStructureError, match=re.escape(named)):
         list(hom_maps(a, digraph(0), mode))
+
+
+@pytest.mark.parametrize("collection", [set, list])
+def test_mode_constraints_may_come_as_a_set_or_list(collection):
+    a, b = dpath(2), clique(3)
+    mode = HomMode("plain", collection([(0, 2)]))
+    assert mode == HomMode("plain", frozenset({(0, 2)}))
+    assert hash(mode) == hash(HomMode("plain", frozenset({(0, 2)})))
+    h = hom_exists(a, b, mode)
+    assert h is not None and h.mapping[0] != h.mapping[2]
+    assert list(hom_maps(a, b, mode)) == naive_homs(a, b, noncollapse={(0, 2)})
+    free = [("E", (2, 0))]
+    full = HomMode("full", free_tuples=collection(free))
+    assert list(hom_maps(a, dcycle(3), full)) == naive_homs(a, dcycle(3), "full", free_tuples=free) != []
 
 
 class TestCores:

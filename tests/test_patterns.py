@@ -116,6 +116,20 @@ class TestMembership:
         assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
         assert fp_membership(clique(4), fam) is None
 
+    @pytest.mark.parametrize("collection", [set, list])
+    def test_pattern_constraints_may_come_as_a_set_or_list(self, collection):
+        # one full-mode pattern with a noncollapse pair and a free slot,
+        # built from `collection` and from frozensets
+        rels = {"E": [(0, 1)], "C1": [(0,), (1,)]}
+        given = Lift(Structure(BSIG, 2, rels), 1, "none", collection([(0, 1)]), collection([("E", (1, 0))]))
+        frozen = Lift(Structure(BSIG, 2, rels), 1, "none", frozenset({(0, 1)}), frozenset({("E", (1, 0))}))
+        assert given == frozen and hash(given) == hash(frozen)
+        fams = [PatternFamily(BSIG, (p, mono_edge(BSIG, "C2")), "full", 1) for p in (given, frozen)]
+        for a in (clique(2), clique(3), dcycle(3), digraph(3, [(0, 1), (1, 2)])):
+            got, want = (fp_membership(a, fam) for fam in fams)
+            assert got == want
+            assert (got is None) == (not naive_membership(a, fams[1]))
+
     def test_empty_family_any_witness(self):
         fam = PatternFamily(CSIG, (), "plain", 1)
         assert fp_membership(clique(4), fam) is not None

@@ -93,6 +93,12 @@ def naive_homs(a, b, mode_tag="plain", noncollapse=(), free_tuples=()):
     return out
 
 
+def degree_order(a):
+    """Elements by the number of tuples containing them, most first, ties by index."""
+    deg = [sum(x in t for r in a.rels for t in r) for x in range(a.n)]
+    return sorted(range(a.n), key=lambda x: (-deg[x], x))
+
+
 def naive_core_size(a):
     """Size of the core of a: the smallest image of an endomorphism, by exhaustion."""
     return min(len(set(m)) for m in naive_homs(a, a))
