@@ -9,11 +9,12 @@ forward checking on held binary tuples, and tests what is left (absent
 pairs, tuples of arity 3 or more, noncollapse pairs) once the tuple is
 fully assigned.
 
-Values are tried in increasing order along the static element order, so
-maps come out in lexicographic order over it.  Every pruning step removes
-only values that lie in no solution, so it changes the speed but never
-which map comes first: `hom_exists` witnesses and `hom_maps` sequences do
-not depend on how much is pruned.
+Every search follows one element order per source and mode: most tuples
+first, ties by index.  Values are tried in increasing order along it, so
+`hom_maps` yields each map once, in lexicographic order of its images read
+in that element order, and its first map is the `hom_exists` witness.
+Every pruning step removes only values that lie in no solution, so it
+changes the speed but never the sequence of maps.
 
 A core is found in two steps.  One retraction pass first drops every
 element that another one absorbs pointwise.  Then each round makes one
@@ -125,8 +126,8 @@ def _push(table, i, item):
         table[i] = [item]
 
 
-def _source_plan(a: Structure, mode: HomMode, natural: bool):
-    """Compile the source side of a search once per (structure, mode, order).
+def _source_plan(a: Structure, mode: HomMode):
+    """Compile the source side of a search once per (structure, mode).
 
     Stage s assigns element order[s].  What each stage enforces:
     - node[x]: all-equal tuples (x, ..., x), folded into x's initial domain;
@@ -148,7 +149,7 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
     exist for the elements in some tuple, or for all of them in full mode.
     """
     partial = mode.noncollapse or mode.free_tuples
-    key = ("plan", mode.tag, natural, mode.noncollapse, mode.free_tuples) if partial else (mode.tag, natural)
+    key = ("plan", mode.tag, mode.noncollapse, mode.free_tuples) if partial else mode.tag
     plan = a._cache.get(key)
     if plan is not None:
         return plan
@@ -160,7 +161,7 @@ def _source_plan(a: Structure, mode: HomMode, natural: bool):
         for t in r:
             for x in (t if arity == 2 and t[0] != t[1] else set(t)):
                 deg[x] += 1
-    order = list(range(n)) if natural else sorted(range(n), key=deg.__getitem__, reverse=True)
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)
     stage_of = [0] * n
     for s, x in enumerate(order):
         stage_of[x] = s
@@ -282,13 +283,18 @@ def _initial_domains(n, plan, tables):
     return doms
 
 
-def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
-    """Yield every valid mapping (as a tuple), in the plan's order."""
+def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN):
+    """Every valid map exactly once, as a mapping tuple.
+
+    Maps come in lexicographic order of their images read in the plan's
+    element order (most tuples first, ties by index); the first one is the
+    `hom_exists` witness.
+    """
     if a.sig != b.sig:
         raise SignatureMismatchError(
             f"source and target signatures differ: {a.sig.names} vs {b.sig.names}"
         )
-    plan = _source_plan(a, mode, natural)
+    plan = _source_plan(a, mode)
     n = a.n
     if n == 0:
         yield ()
@@ -384,26 +390,20 @@ def _run_search(a: Structure, b: Structure, mode: HomMode, natural: bool):
 
 
 def hom_exists(a: Structure, b: Structure, mode: HomMode = PLAIN) -> Homomorphism | None:
-    """First homomorphism found under the static search order, or None."""
-    for m in _run_search(a, b, mode, natural=False):
-        return Homomorphism(a, b, m, mode)
-    return None
-
-
-def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN):
-    """Every valid map exactly once, as a mapping tuple, in lexicographic order."""
-    yield from _run_search(a, b, mode, natural=True)
+    """The first map of `hom_maps`, as a Homomorphism, or None."""
+    m = next(hom_maps(a, b, mode), None)
+    return None if m is None else Homomorphism(a, b, m, mode)
 
 
 def all_homs(a: Structure, b: Structure, mode: HomMode = PLAIN):
-    """`hom_maps`, each map wrapped as a Homomorphism."""
+    """`hom_maps`, in its order, each map wrapped as a Homomorphism."""
     for m in hom_maps(a, b, mode):
         yield Homomorphism(a, b, m, mode)
 
 
 def _maps_to(a: Structure, b: Structure, mode: HomMode = PLAIN) -> bool:
     """Whether `a` maps to `b`, for callers that need no witness."""
-    return next(_run_search(a, b, mode, natural=False), None) is not None
+    return next(hom_maps(a, b, mode), None) is not None
 
 
 def hom_equivalent(a: Structure, b: Structure) -> bool:
@@ -453,7 +453,7 @@ def _shrinking_endo(a: Structure):
     """
     for x in range(a.n):
         keep = [z for z in range(a.n) if z != x]
-        m = next(_run_search(a, induced(a, keep), PLAIN, natural=False), None)
+        m = next(hom_maps(a, induced(a, keep)), None)
         if m is not None:
             return [keep[v] for v in m]
     return None

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .duality import dedup_hom_equivalent, forest_family_duals, terminal_structure
 from .enumeration import _sweep, all_structures
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
-from .homs import _maps_to, _set_partitions, core_of, hom_exists, hom_images, hom_maps
+from .homs import _maps_to, _set_partitions, core_of, hom_exists, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -44,7 +44,6 @@ from .structures import (
 )
 
 MEMBERSHIP_BITS_CAP = 48
-NORMALIZE_CAP = 512
 EXPAND_CAP = 4096
 
 
@@ -337,50 +336,54 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
 
 
 def union_families(f1: PatternFamily, f2: PatternFamily) -> PatternFamily:
-    """Family for the union language: pairwise disjoint unions of patterns."""
+    """Family whose language is the union of the two languages.
+
+    A partition lift avoids every P of f1 or every Q of f2 iff it avoids
+    every pairing of a P with a Q.  In plain mode P and Q may overlap, so
+    the pairing is the disjoint union P + Q.  In injective mode each of P
+    and Q must occur injectively, but the two may share elements: P + Q
+    keeps every pair inside P and every pair inside Q apart, and
+    `injective_expansion` turns those plain patterns into injective ones.
+    Full mode raises ValueError, since there P + Q also forbids every tuple
+    between the two parts.
+    """
     if f1.sig != f2.sig or f1.mode_tag != f2.mode_tag or f1.lift_arity != f2.lift_arity:
         raise SignatureMismatchError("united families must share signature, mode and lift arity")
-    pats = tuple(disjoint_union(p, q) for p in f1.patterns for q in f2.patterns)
-    return PatternFamily(f1.sig, pats, f1.mode_tag, f1.lift_arity)
+    if f1.mode_tag == "full":
+        raise ValueError("full-mode families have no union family")
+    if f1.mode_tag == "plain":
+        pats = tuple(disjoint_union(p, q) for p in f1.patterns for q in f2.patterns)
+        return PatternFamily(f1.sig, pats, "plain", f1.lift_arity)
+    pats = tuple(disjoint_union(_all_apart(p), _all_apart(q)) for p in f1.patterns for q in f2.patterns)
+    return injective_expansion(PatternFamily(f1.sig, pats, "plain", f1.lift_arity))
 
 
-def _lift_images(p: Lift, r: int):
-    """Homomorphic images of a pattern, as lifts (cover status recomputed)."""
-    out = []
-    for img in hom_images(p.struct):
-        out.append(Lift(img, r, "none"))
-    return out
+def _all_apart(p: Lift) -> Lift:
+    """p with every pair of its elements as a noncollapse pair."""
+    return Lift(p.struct, p.lift_arity, p.cover_mode, frozenset(itertools.combinations(range(p.n), 2)))
 
 
-def _is_vacuous(fam: PatternFamily, p: Lift) -> bool:
-    return pattern_color_map(fam, p) is None
-
-
-def normalize_family(fam: PatternFamily, cap: int = NORMALIZE_CAP) -> PatternFamily:
-    """Image-closed, cored, homomorphism-minimal presentation of the family.
+def normalize_family(fam: PatternFamily) -> PatternFamily:
+    """Cored, homomorphism-minimal presentation of the family.
 
     Patterns whose tuples carry two lift classes can never occur in a
-    partition lift and are dropped as vacuous.
+    partition lift and are dropped as vacuous.  Each other pattern is
+    replaced by its core; the cores are deduplicated up to isomorphism and
+    sorted by size, and those into which another one maps are dropped.
+    Hom-equivalent cores are isomorphic, so no two members are
+    hom-equivalent.
     """
     if not fam.is_monadic():
         raise ValueError("normalize_family expects a monadic family")
     if fam.mode_tag != "plain":
         raise ValueError("normalize_family expects a plain-mode family")
-    seen = {}
+    cored = {}
     for p in fam.patterns:
         if p.noncollapse or p.free_tuples:
             raise ValueError("expand partial constraints before normalizing")
-        for img in _lift_images(p, fam.lift_arity):
-            if _is_vacuous(fam, img):
-                continue
-            key = lift_canonical_form(img)
-            if key not in seen:
-                seen[key] = img
-            if len(seen) > cap:
-                raise GuardExceededError("image closure exceeds the normalization cap")
-    cored = {}
-    for img in seen.values():
-        c = Lift(core_of(img.struct), fam.lift_arity, "none")
+        if pattern_color_map(fam, p) is None:
+            continue
+        c = Lift(core_of(p.struct), fam.lift_arity, "none")
         cored.setdefault(lift_canonical_form(c), c)
     pats = sorted(cored.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
     return PatternFamily(fam.sig, _minimal_patterns(pats), fam.mode_tag, fam.lift_arity)

@@ -61,9 +61,6 @@ class Signature:
         """The signature with the lift part removed."""
         return Signature(self.base_symbols())
 
-    def has_lift_part(self) -> bool:
-        return bool(self.lift_names)
-
 
 def make_signature(pairs, lift=()) -> Signature:
     return Signature(tuple((str(n), int(a)) for n, a in pairs), frozenset(lift))
@@ -180,9 +177,6 @@ class HomMode:
             raise ValueError(f"unknown homomorphism mode {self.tag!r}")
         _freeze_constraints(self)
 
-    def is_partial(self) -> bool:
-        return bool(self.noncollapse) or bool(self.free_tuples)
-
 
 PLAIN = HomMode("plain")
 INJECTIVE = HomMode("injective")
@@ -206,19 +200,6 @@ class Homomorphism:
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]
-
-    def apply_tuple(self, t) -> tuple[int, ...]:
-        m = self.mapping
-        return tuple(m[x] for x in t)
-
-    def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.n
-
-    def image_elements(self) -> frozenset:
-        return frozenset(self.mapping)
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,22 @@ class TestFamilies:
         assert payload["verdict"] == "not_finite_union"
         assert parse_structure(payload["witness"]).n == 3
 
+    def test_fp_decide_long_path(self, tmp_path):
+        # an 8-element one-colour path is too long for the default dual caps,
+        # so the verdict comes without templates
+        elems = [f"v{i}" for i in range(8)]
+        arcs = ",".join(f"({x},{y})" for x, y in zip(elems, elems[1:]))
+        fam = tmp_path / "path8.fam"
+        fam.write_text(
+            "signature psig { E/2 C/1 lift }\nfamily path8 : psig { mode = plain ; lift_arity = 1 ;\n"
+            "  pattern P { universe = {%s} ; E = {%s} ; C = {%s} }\n}\n" % (",".join(elems), arcs, ",".join(elems))
+        )
+        res, payload = run_json("fp-decide", str(fam))
+        assert res.exit_code == 0
+        assert payload["verdict"] == "finite_union_csp"
+        assert payload["note"].startswith("duality cap")
+        assert "templates" not in payload
+
     def test_fp_decide_malformed(self, tmp_path):
         bad = tmp_path / "bad.fam"
         bad.write_text("")

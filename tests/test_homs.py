@@ -84,6 +84,12 @@ class TestSpecCases:
         assert set(maps) == set(naive_homs(dcycle(4), clique(3)))
 
 
+def in_plan_order(a, maps):
+    """Maps from `a` in lexicographic order of their images read in degree order."""
+    order = degree_order(a)
+    return sorted(maps, key=lambda m: [m[x] for x in order])
+
+
 def _structure_pool():
     pool = [
         point(),
@@ -113,7 +119,7 @@ def test_agrees_with_naive_on_pool(mode_tag):
     for a, b in itertools.product(pool, pool):
         expected = naive_homs(a, b, mode_tag)
         got = [h.mapping for h in all_homs(a, b, mode)]
-        assert got == sorted(expected), (a, b, mode_tag)
+        assert got == in_plan_order(a, expected), (a, b, mode_tag)
         w = hom_exists(a, b, mode)
         assert (w is not None) == bool(expected), (a, b, mode_tag)
         if w is not None:
@@ -199,7 +205,7 @@ def test_arc_pass_sources_match_naive(instance):
     a, b, tag, noncollapse, free = instance
     mode = HomMode(tag, noncollapse, free)
     expected = naive_homs(a, b, tag, noncollapse, free)
-    assert list(hom_maps(a, b, mode)) == sorted(expected)
+    assert list(hom_maps(a, b, mode)) == in_plan_order(a, expected)
     h = hom_exists(a, b, mode)
     assert (h is not None) == bool(expected)
     if h is not None:
@@ -219,6 +225,52 @@ def test_witness_is_least_map_in_degree_order(instance):
     least = min(expected, key=lambda m: [m[x] for x in order], default=None)
     h = hom_exists(a, b, HomMode(tag, noncollapse, free))
     assert (None if h is None else h.mapping) == least
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_pass_instances(min_n=1))
+def test_first_map_is_the_witness(instance):
+    a, b, tag, noncollapse, free = instance
+    mode = HomMode(tag, noncollapse, free)
+    h = hom_exists(a, b, mode)
+    assert next(hom_maps(a, b, mode), None) == (None if h is None else h.mapping)
+
+
+def _forest_into_looped_target(seed):
+    """A random oriented tree on 30 elements plus 4 arcs among 5 more, randomly
+    relabelled, and a 7-element digraph with loops at 3 and 5 and 10 more
+    random arcs, so the map onto 3 is a homomorphism."""
+    rng = random.Random(seed)
+    arcs = set()
+    for v in range(1, 30):
+        u = rng.randrange(v)
+        arcs.add((u, v) if rng.random() < 0.5 else (v, u))
+    extra = set()
+    while len(extra) < 4:
+        u, v = rng.sample(range(30, 35), 2)
+        if (v, u) not in extra:
+            extra.add((u, v))
+    perm = list(range(35))
+    rng.shuffle(perm)
+    target = {(3, 3), (5, 5)}
+    while len(target) < 12:
+        target.add(tuple(rng.sample(range(7), 2)))
+    return digraph(35, [(perm[u], perm[v]) for u, v in arcs | extra]), digraph(7, target)
+
+
+@pytest.mark.parametrize("seed", [10, 13, 15, 16])
+def test_first_map_comes_as_fast_as_the_witness(seed):
+    # a search in index order thrashes for seconds here before its first
+    # map; in degree order the first map comes at once
+    a, b = _forest_into_looped_target(seed)
+    assert next(hom_maps(a, b)) == hom_exists(a, b).mapping
+
+
+def test_one_plan_per_source_and_mode():
+    a = dpath(3)
+    assert hom_exists(a, clique(2)) is not None
+    assert list(hom_maps(a, clique(3)))
+    assert len(a._cache) == 1
 
 
 def _transitive_tournament(k):
@@ -275,10 +327,11 @@ def test_mode_constraints_may_come_as_a_set_or_list(collection):
     assert hash(mode) == hash(HomMode("plain", frozenset({(0, 2)})))
     h = hom_exists(a, b, mode)
     assert h is not None and h.mapping[0] != h.mapping[2]
-    assert list(hom_maps(a, b, mode)) == naive_homs(a, b, noncollapse={(0, 2)})
+    assert list(hom_maps(a, b, mode)) == in_plan_order(a, naive_homs(a, b, noncollapse={(0, 2)}))
     free = [("E", (2, 0))]
     full = HomMode("full", free_tuples=collection(free))
-    assert list(hom_maps(a, dcycle(3), full)) == naive_homs(a, dcycle(3), "full", free_tuples=free) != []
+    expected = in_plan_order(a, naive_homs(a, dcycle(3), "full", free_tuples=free))
+    assert list(hom_maps(a, dcycle(3), full)) == expected != []
 
 
 class TestCores:

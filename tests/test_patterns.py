@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homkit import patterns
 from homkit.enumeration import all_structures
-from homkit.errors import InvalidStructureError, SignatureMismatchError
+from homkit.errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from homkit.homs import hom_equivalent, hom_exists
 from homkit.patterns import (
     PatternFamily,
@@ -43,6 +43,7 @@ from util import (
     naive_family_nogoods,
     naive_homs,
     naive_injective_expansion,
+    naive_normalize,
     shadow_sharing_families,
     ue_structures,
 )
@@ -326,6 +327,33 @@ class TestNormalize:
         assert len(norm.patterns) == 1
         assert norm.patterns[0].struct.n == 2
 
+    @settings(max_examples=200, deadline=None)
+    @given(monadic_families())
+    def test_matches_the_image_closure(self, fam):
+        try:
+            want = naive_normalize(fam)
+        except GuardExceededError:
+            return
+        got = normalize_family(fam)
+        assert [lift_canonical_form(p) for p in got.patterns] == [lift_canonical_form(p) for p in want.patterns]
+
+    def test_long_path_is_its_own_normal_form(self):
+        # 8 elements have 4,140 quotients, too many to close the family
+        # under homomorphic images; its core is the path itself
+        path = one_color_path(8)
+        norm = normalize_family(PatternFamily(TSIG, (path,), "plain", 1))
+        assert [p.struct for p in norm.patterns] == [path.struct]
+
+
+def one_color_path(n):
+    """The directed path on n elements, every element coloured C."""
+    rels = {"E": [(i, i + 1) for i in range(n - 1)], "C": [(i,) for i in range(n)]}
+    return Lift(Structure(TSIG, n, rels), 1, "none")
+
+
+def _point(color, loop):
+    return Lift(Structure(BSIG, 1, {"E": [(0, 0)] if loop else [], color: [(0,)]}), 1, "none")
+
 
 class TestUnion:
     def test_union_language_is_disjunction(self):
@@ -352,6 +380,24 @@ class TestUnion:
         u = union_families(f2, f2)
         for a in all_structures(DIGRAPH, 3):
             assert (fp_membership(a, u) is not None) == (fp_membership(a, f2) is not None)
+
+    @pytest.mark.parametrize("mode", ["plain", "injective"])
+    def test_union_of_loops_and_arcs(self, mode):
+        # under injective matching a loop and an arc of the same colour may
+        # share an element, which a disjoint union of the two does not allow
+        f1 = PatternFamily(BSIG, (_point("C1", True), _point("C2", True)), mode, 1)
+        f2 = PatternFamily(BSIG, (mono_edge(BSIG, "C1"), mono_edge(BSIG, "C2")), mode, 1)
+        u = union_families(f1, f2)
+        assert u.mode_tag == mode
+        for a in all_structures(DIGRAPH, 3):
+            want = fp_membership(a, f1) is not None or fp_membership(a, f2) is not None
+            assert (fp_membership(a, u) is not None) == want, a
+
+    def test_full_mode_union_raises(self):
+        f1 = PatternFamily(BSIG, (_point("C1", False), _point("C2", False)), "full", 1)
+        f2 = PatternFamily(BSIG, (_point("C1", True), _point("C2", True)), "full", 1)
+        with pytest.raises(ValueError):
+            union_families(f1, f2)
 
 
 class TestDecide:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from homkit.errors import GuardExceededError
 from homkit.fv import GPRIME_ASSEMBLY_CAP, _tuple_candidates
-from homkit.homs import _set_partitions
+from homkit.homs import _set_partitions, core_of, hom_images
 from homkit.patterns import PatternFamily, _minimal_patterns, pattern_color_map
 from homkit.shape import shortest_cycle
 from homkit.snp import Atom, Clause, SNPFormula
@@ -198,6 +198,40 @@ def fully_colored(fam):
                 rels[c].add((x,))
             pats.append(Lift(Structure(fam.sig, p.struct.n, rels), p.lift_arity, p.cover_mode, p.noncollapse, p.free_tuples))
     return PatternFamily(fam.sig, tuple(pats), fam.mode_tag, fam.lift_arity)
+
+
+def naive_normalize(fam, cap=512):
+    """`patterns.normalize_family` by the image closure.
+
+    Takes every homomorphic image of every pattern (`hom_images`, so at
+    most 9 elements a pattern), drops the vacuous ones, and raises
+    GuardExceededError past `cap` distinct images.  Then cores each image,
+    dedups the cores by `lift_canonical_form`, sorts them by size and
+    that form, and keeps the minimal ones.
+    """
+    if not fam.is_monadic():
+        raise ValueError("normalize_family expects a monadic family")
+    if fam.mode_tag != "plain":
+        raise ValueError("normalize_family expects a plain-mode family")
+    seen = {}
+    for p in fam.patterns:
+        if p.noncollapse or p.free_tuples:
+            raise ValueError("expand partial constraints before normalizing")
+        for img in hom_images(p.struct):
+            img = Lift(img, fam.lift_arity, "none")
+            if pattern_color_map(fam, img) is None:
+                continue
+            key = lift_canonical_form(img)
+            if key not in seen:
+                seen[key] = img
+            if len(seen) > cap:
+                raise GuardExceededError("image closure exceeds the normalization cap")
+    cored = {}
+    for img in seen.values():
+        c = Lift(core_of(img.struct), fam.lift_arity, "none")
+        cored.setdefault(lift_canonical_form(c), c)
+    pats = sorted(cored.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+    return PatternFamily(fam.sig, _minimal_patterns(pats), fam.mode_tag, fam.lift_arity)
 
 
 def naive_gprime(fam, basis, cap=GPRIME_ASSEMBLY_CAP):
