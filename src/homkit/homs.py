@@ -17,11 +17,14 @@ Every pruning step removes only values that lie in no solution, so it
 changes the speed but never the sequence of maps.
 
 A core is found in two steps.  One retraction pass first drops every
-element that another one absorbs pointwise.  Then each round makes one
-search per element x for a map a -> a - x (the substructure induced on
-every element but x); the first map found misses x, and its image, a
-smaller hom-equivalent substructure, starts the next round.  A round in
-which no element can be avoided ends at the core.
+element that another one absorbs pointwise; an element's candidate
+absorbers are a bitmask cut down by the target tables' rows of its
+binary neighbours.  Then each round makes one search per element x for a
+map a -> a - x (the substructure induced on every element but x), made
+as a search a -> a with x left out of every domain; the first map found
+misses x, and its image, a smaller hom-equivalent substructure, starts
+the next round.  A round in which no element can be avoided ends at the
+core.
 """
 
 from __future__ import annotations
@@ -229,8 +232,10 @@ def _source_plan(a: Structure, mode: HomMode):
     return plan
 
 
-def _initial_domains(n, plan, tables):
+def _initial_domains(n, plan, tables, avoid):
     """Node-consistent domains, then arc-consistent ones (AC-3); None on a wipe-out.
+
+    No domain holds the target element `avoid`, if one is given.
 
     AC-3 keeps a queue of elements whose domain shrank; popping x revises
     every watched partner y to D(y) &= OR of rows[code][v] over v in D(x).
@@ -238,6 +243,8 @@ def _initial_domains(n, plan, tables):
     not matter.
     """
     _, rows, self_masks, full_mask = tables
+    if avoid is not None:
+        full_mask ^= 1 << avoid
     node, watches = plan[4], plan[5]
     doms = []
     for x in range(n):
@@ -283,12 +290,13 @@ def _initial_domains(n, plan, tables):
     return doms
 
 
-def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN):
+def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
     """Every valid map exactly once, as a mapping tuple.
 
     Maps come in lexicographic order of their images read in the plan's
     element order (most tuples first, ties by index); the first one is the
-    `hom_exists` witness.
+    `hom_exists` witness.  `_avoid`, a target element, searches into the
+    substructure induced on the others without building it.
     """
     if a.sig != b.sig:
         raise SignatureMismatchError(
@@ -305,7 +313,7 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN):
         return
     order, checks2, checks, fwd, _, _, collapse_check, collapse_fwd = plan
     tables = _target_tables(b)
-    doms = _initial_domains(n, plan, tables)
+    doms = _initial_domains(n, plan, tables, _avoid)
     if doms is None:
         return
     rels, rows = tables[0], tables[1]
@@ -417,45 +425,64 @@ def hom_equivalent(a: Structure, b: Structure) -> bool:
 def _retract_dominated(a: Structure) -> Structure:
     """Cheap pre-coring: drop y when some x absorbs it (y -> x pointwise).
 
-    Each pass tests every live y against every other live x on the tuples
-    of y whose elements are all still live, dropping y at once when one
-    absorbs it; passes repeat until one drops nothing, since a removal can
-    make an earlier element dominated.
+    y's candidate absorbers are the other live elements that every tuple of
+    y over live elements admits in y's place, one bitmask AND per binary
+    neighbour (a row of the target tables) or all-equal tuple (its mask);
+    tuples of arity 3 or more are tested on the candidates left.  A pass
+    drops y at once when a candidate survives, and passes repeat until one
+    drops nothing, since a removal can make an earlier element dominated.
     """
     n = a.n
-    by_elem = [[] for _ in range(n)]
-    for si, tp in a.all_tuples():
-        for x in set(tp):
-            by_elem[x].append((si, tp))
-    live = [True] * n
+    rels, rows, self_masks, full = _target_tables(a)
+    fixed = [full] * n  # AND of the masks of y's all-equal tuples
+    binary = [[] for _ in range(n)]  # (neighbour z, row of the x that may replace y next to z)
+    wide = [[] for _ in range(n)]  # (relation, tuple) of arity 3 or more, not all-equal
+    for si, (_, arity) in enumerate(a.sig.symbols):
+        for t in rels[si]:
+            if t.count(t[0]) == arity:
+                fixed[t[0]] &= self_masks[si]
+            elif arity == 2:
+                u, v = t
+                binary[u].append((v, rows[4 * si + 1][v]))
+                binary[v].append((u, rows[4 * si][u]))
+            else:
+                for x in set(t):
+                    wide[x].append((rels[si], t))
+    live, alive = full, [True] * n
     changed = True
     while changed:
         changed = False
         for y in range(n):
-            if not live[y]:
+            if not alive[y]:
                 continue
-            incident = [(a.rels[si], tp) for si, tp in by_elem[y] if all(live[z] for z in tp)]
-            for x in range(n):
-                if x == y or not live[x]:
-                    continue
-                if all(tuple(x if z == y else z for z in tp) in rel for rel, tp in incident):
-                    live[y] = False
-                    changed = True
+            cands = live & fixed[y] & ~(1 << y)
+            for z, row in binary[y]:
+                if alive[z]:
+                    cands &= row
+            incident = [(rel, t) for rel, t in wide[y] if all(map(alive.__getitem__, t))]
+            while cands and incident:
+                x = (cands & -cands).bit_length() - 1
+                if all(tuple(x if z == y else z for z in t) in rel for rel, t in incident):
                     break
-    return induced(a, [z for z in range(n) if live[z]])
+                cands &= cands - 1
+            if cands:
+                alive[y] = False
+                live ^= 1 << y
+                changed = True
+    return induced(a, [z for z in range(n) if alive[z]])
 
 
 def _shrinking_endo(a: Structure):
     """A non-surjective endomorphism of `a` as a list, or None if `a` is a core.
 
-    One search per element x for a map a -> a - x, read back in `a`'s
-    numbering; every search shares `a`'s cached source plan.
+    One search per element x for a map a -> a - x: the map a -> a with x
+    left out of every domain, which tries values in the order the induced
+    substructure would, so it finds the same first map in `a`'s numbering.
     """
     for x in range(a.n):
-        keep = [z for z in range(a.n) if z != x]
-        m = next(hom_maps(a, induced(a, keep)), None)
+        m = next(hom_maps(a, a, _avoid=x), None)
         if m is not None:
-            return [keep[v] for v in m]
+            return list(m)
     return None
 
 

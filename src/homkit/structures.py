@@ -377,7 +377,7 @@ def induced(a: Structure, keep) -> Structure:
     kset = set(keep)
     rels = {}
     for (name, _), r in zip(a.sig.symbols, a.rels):
-        rels[name] = frozenset(tuple(idx[x] for x in t) for t in r if all(x in kset for x in t))
+        rels[name] = frozenset(tuple(map(idx.__getitem__, t)) for t in r if kset.issuperset(t))
     return Structure(a.sig, len(keep), rels)
 
 
@@ -399,12 +399,13 @@ def relabel(a: Structure, perm) -> Structure:
 
 # ---------------------------------------------------------------------------
 # Isomorphism via canonical labelling (individualisation-refinement, McKay &
-# Piperno 2014): colour refinement splits the elements into cells; the
-# search individualises each element of the first non-singleton cell in
-# turn and refines again until the colouring is discrete.  Every discrete
-# colouring is a leaf labelling, and the least leaf encoding is the key.
-# Two leaves with equal encodings give an automorphism, which prunes
-# children in one orbit and abandons subtrees equivalent to explored ones.
+# Piperno 2014): colour refinement splits the elements into cells, in place
+# and only where a cell has two or more elements; the search individualises
+# each element of the first non-singleton cell in turn and refines again
+# until the colouring is discrete.  Every discrete colouring is a leaf
+# labelling, and the least leaf encoding is the key.  Two leaves with equal
+# encodings give an automorphism, which prunes children in one orbit and
+# abandons subtrees equivalent to explored ones.
 # ---------------------------------------------------------------------------
 
 def _incidence(a: Structure):
@@ -417,35 +418,42 @@ def _incidence(a: Structure):
 
 
 def _refine_colors(incident, colors):
-    """Refine `colors` by the colour profiles of incident tuples, as ranks.
+    """Refine `colors` by the colour profiles of incident tuples: (ranks, cells).
 
-    Ranks depend on colours and profiles only, never on element names, and
-    keep the order of the input colours, so isomorphic inputs refine alike.
+    New ranks order elements by old colour first, then by profile, so a
+    round splits cells in place: only members of a cell with two or more
+    elements need a profile, compared within their cell, and a round that
+    splits no cell ends the refinement.  Ranks depend on colours and
+    profiles only, never on element names, so isomorphic inputs refine
+    alike.  `cells[c]` lists the elements of rank c in ascending order.
     """
-    n = len(colors)
-    for _ in range(n):
-        profiles = []
-        for x in range(n):
-            prof = sorted(
-                (si, pos, tuple(colors[y] for y in t)) for si, pos, t in incident[x]
-            )
-            profiles.append((colors[x], tuple(prof)))
-        order = sorted(set(profiles))
-        rank = {p: i for i, p in enumerate(order)}
-        new = [rank[p] for p in profiles]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def _first_cell(colors):
-    """Members of the least-coloured cell with two or more elements, or None."""
-    cells = {}
+    groups = {}
     for x, c in enumerate(colors):
-        cells.setdefault(c, []).append(x)
-    multi = [c for c, members in cells.items() if len(members) > 1]
-    return cells[min(multi)] if multi else None
+        groups.setdefault(c, []).append(x)
+    cells = [groups[c] for c in sorted(groups)]
+    ranks = [0] * len(colors)
+    while True:
+        for c, cell in enumerate(cells):
+            for x in cell:
+                ranks[x] = c
+        refined = []
+        for cell in cells:
+            if len(cell) == 1:
+                refined.append(cell)
+                continue
+            parts = {}
+            for x in cell:
+                prof = sorted((si, pos, tuple(map(ranks.__getitem__, t))) for si, pos, t in incident[x])
+                parts.setdefault(tuple(prof), []).append(x)
+            refined += [parts[p] for p in sorted(parts)]
+        if len(refined) == len(cells):
+            return ranks, cells
+        cells = refined
+
+
+def _first_cell(cells):
+    """The least-coloured cell with two or more elements, or None."""
+    return next((cell for cell in cells if len(cell) > 1), None)
 
 
 def _next_child(cell, tried, prefix, autos):
@@ -477,8 +485,8 @@ def _canonical_labelling(a: Structure, colors=None):
     exactly the colour-respecting isomorphic copies of `a`.
     """
     incident = _incidence(a)
-    root = _refine_colors(incident, list(colors) if colors is not None else [0] * a.n)
-    cell = _first_cell(root)
+    root, cells = _refine_colors(incident, colors if colors is not None else [0] * a.n)
+    cell = _first_cell(cells)
     if cell is None:
         return _encode(a, root), root
     first = best = None  # (encoding, perm, path of individualised elements)
@@ -493,9 +501,9 @@ def _canonical_labelling(a: Structure, colors=None):
         tried.append(v)
         init = [2 * c for c in colouring]
         init[v] += 1  # v alone, just after the rest of its cell
-        child = _refine_colors(incident, init)
+        child, cells = _refine_colors(incident, init)
         child_path = path + (v,)
-        cell = _first_cell(child)
+        cell = _first_cell(cells)
         if cell is not None:
             stack.append((child, child_path, cell, []))
             continue
@@ -527,6 +535,8 @@ def _labelled(a: Structure, colors=None):
     ckey = ("canon", tuple(colors) if colors is not None else None)
     hit = a._cache.get(ckey)
     if hit is None:
+        if colors is not None and len(colors) != a.n:
+            raise InvalidStructureError(f"{len(colors)} colours given for a universe of {a.n} elements")
         enc, perm = _canonical_labelling(a, colors)
         key = (a.sig, a.n, enc) if colors is None else (a.sig, a.n, enc, tuple(sorted(colors)))
         hit = a._cache[ckey] = (key, perm)

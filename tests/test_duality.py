@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from homkit import duality
 from homkit.duality import (
     dedup_hom_equivalent,
     forest_family_duals,
@@ -15,7 +16,7 @@ from homkit.patterns import PatternFamily, verify_shadow_duality
 from homkit.shape import connected_component_elements, is_forest
 from homkit.structures import Lift, Structure, is_isomorphic, make_signature, product
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_trees, point
+from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_trees, naive_core_of, point
 
 
 class TestTreeDual:
@@ -52,6 +53,13 @@ class TestTreeDual:
     @pytest.mark.parametrize("k", range(3, 11))
     def test_directed_path_dual_is_transitive_tournament(self, k):
         assert is_isomorphic(tree_dual(dpath(k)), transitive_tournament(k))
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_path_dual_is_the_reference_core(self, k, monkeypatch):
+        d = tree_dual(dpath(k))
+        monkeypatch.setattr(duality, "core_of", naive_core_of)
+        want = tree_dual(dpath(k))
+        assert (d.n, d.rels) == (want.n, want.rels)
 
     def test_universe_cap_counts_maps_to_incident_tuples(self):
         # the 8-arc path has 7 inner elements on two arcs each: 2^7 maps

@@ -9,6 +9,7 @@ from homkit.errors import InvalidStructureError
 from homkit.homs import (
     _retract_dominated,
     _set_partitions,
+    _shrinking_endo,
     all_homs,
     check_homomorphism,
     core_of,
@@ -38,9 +39,12 @@ from util import (
     dpath,
     loop_vertex,
     mixed_structures,
+    naive_core_of,
     naive_core_size,
     naive_homs,
     naive_isomorphic,
+    naive_retract_dominated,
+    naive_shrinking_endo,
     naive_valid,
     point,
     scycle,
@@ -399,6 +403,17 @@ def test_retract_dominated_is_an_equivalent_induced_substructure(a):
     for y, x in itertools.permutations(range(r.n), 2):
         fold = tuple(x if z == y else z for z in range(r.n))
         assert not check_homomorphism(Homomorphism(r, r, fold))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_structures(max_n=8, max_tuples=12))
+def test_coring_matches_the_references(a):
+    r, want = _retract_dominated(a), naive_retract_dominated(a)
+    assert (r.n, r.rels) == (want.n, want.rels)
+    assert _shrinking_endo(a) == naive_shrinking_endo(a)
+    assert _shrinking_endo(r) == naive_shrinking_endo(r)
+    c, want = core_of(a), naive_core_of(a)
+    assert (c.n, c.rels) == (want.n, want.rels)
 
 
 class TestHomImages:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homkit import structures
 from homkit.errors import InvalidStructureError, SignatureMismatchError
 from homkit.structures import (
     FULL,
@@ -12,6 +13,8 @@ from homkit.structures import (
     Lift,
     Structure,
     Signature,
+    _incidence,
+    _refine_colors,
     canonical_form,
     canonical_perm,
     disjoint_union,
@@ -35,6 +38,7 @@ from util import (
     loop_vertex,
     mixed_structures,
     naive_isomorphic,
+    naive_refine_colors,
     point,
 )
 
@@ -312,6 +316,35 @@ class TestCanonicalLabelling:
         assert relabel(a, canonical_perm(a)).rels == key_tuples(key)
         assert canonical_form(relabel(a, list(reversed(range(a.n))))) == key
 
+    @pytest.mark.parametrize("colors", [[0, 0], [0, 0, 0, 0]], ids=["short", "long"])
+    @pytest.mark.parametrize("fn", [canonical_form, canonical_perm])
+    def test_colour_list_must_fit_the_universe(self, fn, colors):
+        path = digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(InvalidStructureError, match=rf"^{len(colors)} colours .* 3 elements$"):
+            fn(path, colors)
+
+
+@st.composite
+def initial_colourings(draw):
+    """A structure over MIXED with a colouring, sometimes with one element individualised (2c / 2c+1)."""
+    a = draw(mixed_structures(max_n=8, max_tuples=8))
+    colors = draw(st.lists(st.integers(0, 4), min_size=a.n, max_size=a.n))
+    if a.n and draw(st.booleans()):
+        v = draw(st.integers(0, a.n - 1))
+        colors = [2 * c for c in colors]
+        colors[v] += 1
+    return a, colors
+
+
+@settings(max_examples=400, deadline=None)
+@given(initial_colourings())
+def test_refinement_matches_the_reference(case):
+    a, colors = case
+    incident = _incidence(a)
+    ranks, cells = _refine_colors(incident, colors)
+    assert ranks == naive_refine_colors(incident, list(colors))
+    assert cells == [[x for x in range(a.n) if ranks[x] == c] for c in range(len(cells))]
+
 
 @st.composite
 def constrained_lifts(draw):
@@ -369,3 +402,38 @@ class TestLiftCanonicalForm:
         nc_key = lift_canonical_form(Lift(a, noncollapse=frozenset({(0, 1)})))
         free_key = lift_canonical_form(Lift(a, free_tuples=frozenset({("E", (1, 0))})))
         assert len({plain_key, nc_key, free_key}) == 3
+
+
+def reference_refinement(incident, colors):
+    """`naive_refine_colors` in the shape of `_refine_colors`: (ranks, cells)."""
+    ranks = naive_refine_colors(incident, list(colors))
+    cells = [[] for _ in set(ranks)]
+    for x, c in enumerate(ranks):
+        cells[c].append(x)
+    return ranks, cells
+
+
+def labels(p, colors):
+    """Every labelling output for the lift p, computed on fresh copies so no cache answers."""
+    def fresh():
+        a = p.struct
+        return Structure(a.sig, a.n, dict(zip(a.sig.names, a.rels)))
+
+    return (
+        canonical_form(fresh()),
+        canonical_perm(fresh()),
+        canonical_form(fresh(), colors),
+        canonical_perm(fresh(), colors),
+        lift_canonical_form(Lift(fresh(), p.lift_arity, p.cover_mode, p.noncollapse, p.free_tuples)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(constrained_lifts(), st.data())
+def test_labels_are_those_of_the_reference_refinement(p, data):
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n))
+    got = labels(p, colors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structures, "_refine_colors", reference_refinement)
+        want = labels(p, colors)
+    assert got == want

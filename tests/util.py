@@ -2,6 +2,8 @@
 
 The oracles here re-derive answers from definitions (exhaustion over all
 maps, all colorings, ...) and never call the search machinery they check.
+The `naive_*` references for refinement and coring are the slower
+algorithms that the library's versions replaced, kept to pin their output.
 """
 
 import itertools
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from homkit.errors import GuardExceededError
 from homkit.fv import GPRIME_ASSEMBLY_CAP, _tuple_candidates
-from homkit.homs import _set_partitions, core_of, hom_images
+from homkit.homs import _set_partitions, core_of, hom_images, hom_maps
 from homkit.patterns import PatternFamily, _minimal_patterns, pattern_color_map
 from homkit.shape import shortest_cycle
 from homkit.snp import Atom, Clause, SNPFormula
-from homkit.structures import Lift, Structure, lift_canonical_form, make_signature, quotient, shadow
+from homkit.structures import Lift, Structure, induced, lift_canonical_form, make_signature, quotient, shadow
 
 DIGRAPH = make_signature([("E", 2)])
 MIXED = make_signature([("U", 1), ("E", 2), ("T", 3)])
@@ -511,3 +513,80 @@ def naive_saturate_inequalities(phi):
             )
         )
     return keys
+
+
+def naive_refine_colors(incident, colors):
+    """Colour refinement that recomputes every element's profile each round.
+
+    The reference for `structures._refine_colors`: ranks of (colour,
+    profile) pairs over all elements, until a round returns its input.
+    """
+    n = len(colors)
+    for _ in range(n):
+        profiles = []
+        for x in range(n):
+            prof = sorted(
+                (si, pos, tuple(colors[y] for y in t)) for si, pos, t in incident[x]
+            )
+            profiles.append((colors[x], tuple(prof)))
+        order = sorted(set(profiles))
+        rank = {p: i for i, p in enumerate(order)}
+        new = [rank[p] for p in profiles]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def naive_retract_dominated(a):
+    """Retraction by testing every live y against every other live x, tuple by tuple.
+
+    The reference for `homs._retract_dominated`: a pass drops y at once
+    when some x absorbs it on y's tuples over live elements; passes repeat
+    until one drops nothing.
+    """
+    n = a.n
+    by_elem = [[] for _ in range(n)]
+    for si, tp in a.all_tuples():
+        for x in set(tp):
+            by_elem[x].append((si, tp))
+    live = [True] * n
+    changed = True
+    while changed:
+        changed = False
+        for y in range(n):
+            if not live[y]:
+                continue
+            incident = [(a.rels[si], tp) for si, tp in by_elem[y] if all(live[z] for z in tp)]
+            for x in range(n):
+                if x == y or not live[x]:
+                    continue
+                if all(tuple(x if z == y else z for z in tp) in rel for rel, tp in incident):
+                    live[y] = False
+                    changed = True
+                    break
+    return induced(a, [z for z in range(n) if live[z]])
+
+
+def naive_shrinking_endo(a):
+    """The first map a -> a - x over x, searched into the built substructure a - x.
+
+    The reference for `homs._shrinking_endo`, which searches a -> a with x
+    left out of the domains instead; the map comes back in `a`'s numbering.
+    """
+    for x in range(a.n):
+        keep = [z for z in range(a.n) if z != x]
+        m = next(hom_maps(a, induced(a, keep)), None)
+        if m is not None:
+            return [keep[v] for v in m]
+    return None
+
+
+def naive_core_of(a):
+    """`homs.core_of` composed from the reference retraction and avoidance search."""
+    current = naive_retract_dominated(a)
+    while True:
+        endo = naive_shrinking_endo(current)
+        if endo is None:
+            return current
+        current = induced(current, endo)
