@@ -29,7 +29,7 @@ from .enumeration import _sweep
 from .errors import GuardExceededError, NotATreeError
 from .homs import _maps_to, core_of
 from .shape import connected_component_elements, shortest_cycle
-from .structures import Structure, canonical_form, induced, product
+from .structures import Structure, _trusted_structure, canonical_form, induced, product
 
 DEFAULT_UNIVERSE_CAP = 1 << 16
 RELATION_CAP = 1 << 22
@@ -62,17 +62,17 @@ def tree_dual(t: Structure, universe_cap: int = DEFAULT_UNIVERSE_CAP) -> Structu
     # funcs[f, x] is the index of the tuple that map f sends x to
     funcs = np.array(list(itertools.product(*incident)), dtype=np.int64).reshape(size, t.n)
 
-    rels = {}
-    for si, (name, arity) in enumerate(t.sig.symbols):
+    rels = []
+    for si, (_, arity) in enumerate(t.sig.symbols):
         if size**arity > RELATION_CAP:
             raise GuardExceededError("dual relation grid exceeds the internal cap")
         blocked = np.zeros((size,) * arity, dtype=bool)
         for ti, (tsi, tp) in enumerate(tuples):
             if tsi == si:  # block every tuple of maps pointing each u_i at this tuple
                 blocked[np.ix_(*(funcs[:, x] == ti for x in tp))] = True
-        rels[name] = np.argwhere(~blocked).tolist()
+        rels.append(frozenset(map(tuple, np.argwhere(~blocked).tolist())))
 
-    return core_of(Structure(t.sig, size, rels))
+    return core_of(_trusted_structure(t.sig, size, tuple(rels)))
 
 
 def forest_family_duals(family, universe_cap: int = DEFAULT_UNIVERSE_CAP, product_cap: int = 4096):

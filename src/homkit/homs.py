@@ -14,7 +14,22 @@ first, ties by index.  Values are tried in increasing order along it, so
 `hom_maps` yields each map once, in lexicographic order of its images read
 in that element order, and its first map is the `hom_exists` witness.
 Every pruning step removes only values that lie in no solution, so it
-changes the speed but never the sequence of maps.
+changes the speed but never the sequence of maps.  The arc pass is skipped
+when every domain is already too large for any revision to prune (into a
+clique, for one).
+
+A search plan is built once per source and mode.  For a source of 1 to 16
+elements it is also emitted as Python: one generator function with a
+`while` loop per stage over the stage's domain bitmask, the stage's checks
+as guards and its forward checks as straight-line ANDs, compiled under
+the file name `<homkit plan>` (16 stays below CPython's limit of 20
+nested blocks).  It makes the same pruning steps as the generic loop,
+which larger sources run, so both give the same sequence.  Compiled
+functions are kept in one module-level dict keyed by the plan's shape:
+its integers, packed into bytes (`_shape_key`).  The text names no symbol
+or element, so a fresh source of a known shape (a `core_of` round, a tree
+dual, a pattern shadow) reuses the function without emitting or compiling
+anything, and the dict gains one entry per distinct shape.
 
 A core is found in two steps.  One retraction pass first drops every
 element that another one absorbs pointwise; an element's candidate
@@ -82,7 +97,13 @@ def check_homomorphism(h: Homomorphism) -> tuple[bool, str | None]:
 #   kind 1: tails of v's in-tuples   (partner is the tail of a held tuple)
 #   kind 2, 3: the complements of 0 and 1, for absent pairs in full mode
 def _target_tables(b: Structure):
-    """(relations, support rows by code, all-equal mask per symbol, full mask), cached."""
+    """(relations, support rows by code, all-equal mask per symbol, full mask, least by code), cached.
+
+    `least[code]` is the least domain size whose values, taken together,
+    support every target value through the code's rows: a domain of that
+    size meets every row of the transposed relation (or, for a complement
+    code, leaves every row), so an arc revision from it prunes nothing.
+    """
     tables = b._cache.get("target")
     if tables is not None:
         return tables
@@ -90,6 +111,7 @@ def _target_tables(b: Structure):
     full_mask = (1 << n) - 1
     rows = []
     self_masks = []
+    least = []
     for (_, arity), r in zip(b.sig.symbols, b.rels):
         if arity == 2:
             out = [0] * n
@@ -98,10 +120,14 @@ def _target_tables(b: Structure):
                 out[x] |= 1 << y
                 inn[y] |= 1 << x
             rows += [out, inn, [full_mask ^ m for m in out], [full_mask ^ m for m in inn]]
+            ins, outs = list(map(int.bit_count, inn)), list(map(int.bit_count, out))
+            least += [n + 1 - min(ins, default=0), n + 1 - min(outs, default=0),
+                      max(ins, default=0) + 1, max(outs, default=0) + 1]
         else:
             rows += [None] * 4
+            least += [None] * 4
         self_masks.append(sum(1 << v for v in range(n) if (v,) * arity in r))
-    tables = (b.rels, rows, self_masks, full_mask)
+    tables = (b.rels, rows, self_masks, full_mask, least)
     b._cache["target"] = tables
     return tables
 
@@ -129,6 +155,16 @@ def _push(table, i, item):
         table[i] = [item]
 
 
+# Plans of sources with at most this many elements run as emitted loop
+# nests, one `while` per element: CPython refuses more than 20 statically
+# nested blocks in one function.
+_NEST_LIMIT = 16
+# Compiled searches by plan shape (see `_shape_key`), shared by every
+# source and mode whose plan has that shape.
+_COMPILED = {}
+_PLAN_GLOBALS = {}  # one globals dict for all compiled searches, which read no global name
+
+
 def _source_plan(a: Structure, mode: HomMode):
     """Compile the source side of a search once per (structure, mode).
 
@@ -142,14 +178,18 @@ def _source_plan(a: Structure, mode: HomMode):
     - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
       the earlier partner and pruned from the later partner's domain.
     Sources with more than 4 elements also carry watch lists for the arc
-    pass: per element x, the partners and codes revised when D(x) shrinks.
-    A plan allocates only what its mode and signature use.  A table that
-    stays empty (checks2 outside full mode, checks without a symbol of arity
-    3 or more, the collapse tables without noncollapse pairs) is one shared
-    tuple of empty tuples.  Full-mode checks2 has a list per stage; in the
-    other tables a slot gets a list at its first entry, so outside full mode
-    node holds lists only for elements with an all-equal tuple.  Watch lists
-    exist for the elements in some tuple, or for all of them in full mode.
+    pass: per element x, the partners and codes revised when D(x) shrinks,
+    and the codes watched at all.  A table that stays empty (checks2
+    outside full mode, checks without a symbol of arity 3 or more, the
+    collapse tables without noncollapse pairs) is one shared tuple of empty
+    tuples; elsewhere a slot gets a list at its first entry.
+
+    The plan is (search, node, watches, order, fwd, checks2, checks,
+    collapse_check, collapse_fwd).  On a source of 1 to `_NEST_LIMIT`
+    elements `search` is the plan emitted as Python (`_emit_search`) and
+    the plan stops after `watches`; `node` is None too when there are no
+    watch lists, since the emitted code folds it in.  Otherwise `search`
+    is None and `_search_loop` reads the tables.
     """
     partial = mode.noncollapse or mode.free_tuples
     key = ("plan", mode.tag, mode.noncollapse, mode.free_tuples) if partial else mode.tag
@@ -227,9 +267,127 @@ def _source_plan(a: Structure, mode: HomMode):
         _push(collapse_check, sy, x)
         _push(collapse_fwd, sx, y)
 
-    plan = (order, checks2, checks, fwd, node, (partners, codes) if watch else None, collapse_check, collapse_fwd)
+    stages = (fwd, checks2, checks, collapse_check, collapse_fwd)
+    watches = (partners, codes, {c for cs in codes for c in cs}) if watch else None
+    if 0 < n <= _NEST_LIMIT:
+        folded = None if watch else node
+        injective = mode.tag == "injective"
+        shape = _shape_key(n, order, folded, injective, stages)
+        search = _COMPILED.get(shape)
+        if search is None:
+            search = _COMPILED[shape] = _compile_search(_emit_search(n, order, folded, injective, stages))
+        plan = (search, node if watch else None, watches)
+    else:
+        plan = (None, node, watches, order, *stages)
     a._cache[key] = plan
     return plan
+
+
+def _shape_key(n, order, node, injective, stages):
+    """Everything `_emit_search` reads, as integers: equal keys give equal code.
+
+    Each list is written as its length followed by its entries, so the
+    integers decode back to the arguments.  They are packed into bytes when
+    every one fits in a byte, into a tuple otherwise.
+    """
+    ints = [n, injective, node is None, *order]
+    for entries in node or ():
+        ints.append(len(entries))
+        for si, present in entries:
+            ints += (si, present)
+    fwd, checks2, checks, collapse_check, collapse_fwd = stages
+    for s in range(n):
+        ints.append(len(fwd[s]))
+        for y, code in fwd[s]:
+            ints += (y, code)
+        ints.append(len(checks2[s]))
+        for entry in checks2[s]:
+            ints += entry
+        ints.append(len(checks[s]))
+        for si, t, present in checks[s]:
+            ints += (si, len(t), *t, present)
+        ints += (len(collapse_check[s]), *collapse_check[s], len(collapse_fwd[s]), *collapse_fwd[s])
+    try:
+        return bytes(ints)
+    except ValueError:
+        return tuple(ints)
+
+
+def _emit_search(n, order, node, injective, stages):
+    """The plan as the source text of one generator function `search`.
+
+    Stage s is a `while` loop taking the values of element order[s] from
+    its domain bitmask, lowest first.  The stage's checks (absent pairs,
+    tuples of arity 3 or more, noncollapse pairs) are one guard; its
+    forward checks are straight-line ANDs with the rows of its value (and,
+    for injective mode and noncollapse pairs, with the complement of its
+    bit), each followed by a wipe-out test.  The innermost stage yields the
+    values in element order.  With `node`, the function takes the target
+    tables and `avoid` and builds the node-consistent domains itself;
+    without it, it takes the tables and the domains of `_initial_domains`.
+    Names are made of letters and plan integers only.
+    """
+    fwd, checks2, checks, collapse_check, collapse_fwd = stages
+    stage_of = [0] * n
+    for s, x in enumerate(order):
+        stage_of[x] = s
+    val = [f"v{stage_of[x]}" for x in range(n)]  # the value of element x
+    rows, rels, masks = set(), set(), set()
+    ind = " "
+    if node is None:
+        cur = [f"e{x}" for x in range(n)]  # per element: the name of its current domain
+        body = [f"{ind}{', '.join(cur)}, = doms"]
+    else:
+        cur = [None] * n
+        body = [f"{ind}full = tables[3] if avoid is None else tables[3] ^ 1 << avoid"]
+        named = {"": "full"}  # an entry domain's terms -> the first element's name for it
+        for x, entries in enumerate(node):
+            terms = "".join(f" & m{si}" if present else f" & ~m{si}" for si, present in entries)
+            if terms not in named:
+                masks.update(si for si, _ in entries)
+                named[terms] = f"e{x}"
+                body += [f"{ind}e{x} = full{terms}", f"{ind}if not e{x}: return"]
+            cur[x] = named[terms]
+    for s, x in enumerate(order):
+        body += [f"{ind}a{s} = {cur[x]}", f"{ind}while a{s}:"]
+        ind += " "
+        body += [f"{ind}b{s} = a{s} & -a{s}", f"{ind}a{s} ^= b{s}", f"{ind}v{s} = b{s}.bit_length() - 1"]
+        tests = [f"r{4 * si}[{val[u]}] & b{stage_of[w]}" for si, u, w in checks2[s]]
+        tests += [f"({', '.join(val[z] for z in t)}) {'not in' if present else 'in'} t{si}"
+                  for si, t, present in checks[s]]
+        tests += [f"v{s} == {val[y]}" for y in collapse_check[s]]
+        rows.update(4 * si for si, _, _ in checks2[s])
+        rels.update(si for si, _, _ in checks[s])
+        if tests:
+            body.append(f"{ind}if {' or '.join(tests)}: continue")
+        if s == n - 1:
+            body.append(f"{ind}yield {', '.join(val)},")
+            break
+        terms = {}  # later element -> what restricts its domain at this stage
+        for y, code in fwd[s]:
+            terms.setdefault(y, []).append(f"r{code}[v{s}]")
+            rows.add(code)
+        cleared = set(order[s + 1:]) if injective else set(collapse_fwd[s])
+        if cleared:
+            body.append(f"{ind}k{s} = ~b{s}")
+            for y in cleared:
+                terms.setdefault(y, []).append(f"k{s}")
+        for y in sorted(terms, key=stage_of.__getitem__):
+            name = f"d{s}_{y}"
+            body += [f"{ind}{name} = {cur[y]} & {' & '.join(terms[y])}", f"{ind}if not {name}: continue"]
+            cur[y] = name
+    head = [f"def search(tables, {'doms' if node is None else 'avoid'}):"]
+    head += [f" r{code} = tables[1][{code}]" for code in sorted(rows)]
+    head += [f" t{si} = tables[0][{si}]" for si in sorted(rels)]
+    head += [f" m{si} = tables[2][{si}]" for si in sorted(masks)]
+    return "\n".join(head + body) + "\n"
+
+
+def _compile_search(text):
+    """The function `search` defined by `text`, compiled under a fixed file name."""
+    namespace = {}
+    exec(compile(text, "<homkit plan>", "exec"), _PLAN_GLOBALS, namespace)
+    return namespace["search"]
 
 
 def _initial_domains(n, plan, tables, avoid):
@@ -240,12 +398,14 @@ def _initial_domains(n, plan, tables, avoid):
     AC-3 keeps a queue of elements whose domain shrank; popping x revises
     every watched partner y to D(y) &= OR of rows[code][v] over v in D(x).
     The greatest arc-consistent domains are unique, so the queue order does
-    not matter.
+    not matter.  When every domain is at least as large as the target's
+    `least` size for every watched code, no revision can prune, and the
+    node-consistent domains are returned as they are.
     """
-    _, rows, self_masks, full_mask = tables
+    _, rows, self_masks, full_mask, least = tables
     if avoid is not None:
         full_mask ^= 1 << avoid
-    node, watches = plan[4], plan[5]
+    node, watches = plan[1], plan[2]
     doms = []
     for x in range(n):
         d = full_mask
@@ -256,8 +416,10 @@ def _initial_domains(n, plan, tables, avoid):
         doms.append(d)
     if watches is None:
         return doms
+    partners, codes, watched = watches
+    if min(map(int.bit_count, doms)) >= max([least[c] for c in watched], default=0):
+        return doms
 
-    partners, codes = watches
     ncodes = len(rows)
     support = {}  # D(x) * ncodes + code -> OR of the code's rows over D(x)
     queue = [x for x in range(n) if partners[x]]
@@ -290,35 +452,10 @@ def _initial_domains(n, plan, tables, avoid):
     return doms
 
 
-def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
-    """Every valid map exactly once, as a mapping tuple.
-
-    Maps come in lexicographic order of their images read in the plan's
-    element order (most tuples first, ties by index); the first one is the
-    `hom_exists` witness.  `_avoid`, a target element, searches into the
-    substructure induced on the others without building it.
-    """
-    if a.sig != b.sig:
-        raise SignatureMismatchError(
-            f"source and target signatures differ: {a.sig.names} vs {b.sig.names}"
-        )
-    plan = _source_plan(a, mode)
-    n = a.n
-    if n == 0:
-        yield ()
-        return
-    if b.n == 0:
-        return
-    if mode.tag == "injective" and n > b.n:
-        return
-    order, checks2, checks, fwd, _, _, collapse_check, collapse_fwd = plan
-    tables = _target_tables(b)
-    doms = _initial_domains(n, plan, tables, _avoid)
-    if doms is None:
-        return
+def _search_loop(n, plan, tables, doms, injective):
+    """The generic search: the plan's per-stage tables, walked by one loop."""
+    order, fwd, checks2, checks, collapse_check, collapse_fwd = plan[3:]
     rels, rows = tables[0], tables[1]
-    injective = mode.tag == "injective"
-
     val = [-1] * n
     dom_stack = [None] * (n + 1)
     rem = [0] * n
@@ -394,7 +531,37 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
         s += 1
         dom_stack[s] = new
         rem[s] = new[order[s]]
-    return
+
+
+def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
+    """An iterator over every valid map exactly once, as a mapping tuple.
+
+    Maps come in lexicographic order of their images read in the plan's
+    element order (most tuples first, ties by index); the first one is the
+    `hom_exists` witness.  `_avoid`, a target element, searches into the
+    substructure induced on the others without building it.  Arguments are
+    checked at the call, before any map is asked for.
+    """
+    if a.sig is not b.sig and a.sig != b.sig:
+        raise SignatureMismatchError(
+            f"source and target signatures differ: {a.sig.names} vs {b.sig.names}"
+        )
+    plan = _source_plan(a, mode)
+    n = a.n
+    if n == 0:
+        return iter(((),))
+    if b.n == 0 or n > b.n and mode.tag == "injective":
+        return iter(())
+    tables = _target_tables(b)
+    search = plan[0]
+    if plan[2] is None and search is not None:
+        return search(tables, _avoid)  # no arc pass: node consistency is in the emitted code
+    doms = _initial_domains(n, plan, tables, _avoid)
+    if doms is None:
+        return iter(())
+    if search is None:
+        return _search_loop(n, plan, tables, doms, mode.tag == "injective")
+    return search(tables, doms)
 
 
 def hom_exists(a: Structure, b: Structure, mode: HomMode = PLAIN) -> Homomorphism | None:
@@ -433,7 +600,7 @@ def _retract_dominated(a: Structure) -> Structure:
     drops nothing, since a removal can make an earlier element dominated.
     """
     n = a.n
-    rels, rows, self_masks, full = _target_tables(a)
+    rels, rows, self_masks, full, _ = _target_tables(a)
     fixed = [full] * n  # AND of the masks of y's all-equal tuples
     binary = [[] for _ in range(n)]  # (neighbour z, row of the x that may replace y next to z)
     wide = [[] for _ in range(n)]  # (relation, tuple) of arity 3 or more, not all-equal

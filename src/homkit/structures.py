@@ -245,21 +245,29 @@ class Lift:
         return f"Lift({self.struct!r}, r={self.lift_arity}, {self.cover_mode})"
 
 
-def _trusted_partition_lift(sig: Signature, n: int, rels: tuple, element_names, r: int) -> Lift:
-    """A partition lift built without the checks of `Structure` and `Lift`.
+def _trusted_structure(sig: Signature, n: int, rels: tuple, element_names=None) -> Structure:
+    """A Structure built without the checks of `Structure.__init__`.
 
-    `rels` holds one frozenset per symbol of `sig`, in its order.  Only for
-    callers whose construction guarantees what those checks test: every
-    tuple has its symbol's arity over 0..n-1, and every r-tuple lies in
-    exactly one lift relation.
+    `rels` holds one frozenset of tuples per symbol of `sig`, in its order.
+    Only for callers whose construction guarantees what those checks test:
+    every tuple has its symbol's arity and lies over 0..n-1.
     """
     s = object.__new__(Structure)
     for name, value in (("sig", sig), ("n", n), ("rels", rels), ("element_names", element_names),
                         ("_hash", None), ("_cache", {})):
         object.__setattr__(s, name, value)
+    return s
+
+
+def _trusted_partition_lift(sig: Signature, n: int, rels: tuple, element_names, r: int) -> Lift:
+    """A partition lift built without the checks of `Structure` and `Lift`.
+
+    `rels` is as for `_trusted_structure`, and every r-tuple must lie in
+    exactly one lift relation.
+    """
     lift = object.__new__(Lift)
-    for name, value in (("struct", s), ("lift_arity", r), ("cover_mode", "partition"),
-                        ("noncollapse", frozenset()), ("free_tuples", frozenset())):
+    for name, value in (("struct", _trusted_structure(sig, n, rels, element_names)), ("lift_arity", r),
+                        ("cover_mode", "partition"), ("noncollapse", frozenset()), ("free_tuples", frozenset())):
         object.__setattr__(lift, name, value)
     return lift
 
@@ -327,14 +335,12 @@ def product(a: Structure, b: Structure) -> Structure:
     """Categorical product: pairs as elements, tuples present iff both projections are."""
     if a.sig != b.sig:
         raise SignatureMismatchError("product needs a common signature")
-    n = a.n * b.n
-    enc = lambda i, j: i * b.n + j
-    rels = {}
-    for (name, arity), ra, rb in zip(a.sig.symbols, a.rels, b.rels):
-        rels[name] = frozenset(
-            tuple(enc(ta[k], tb[k]) for k in range(arity)) for ta in ra for tb in rb
-        )
-    return Structure(a.sig, n, rels)
+    m = b.n
+    rels = tuple(
+        frozenset(tuple(i * m + j for i, j in zip(ta, tb)) for ta in ra for tb in rb)
+        for ra, rb in zip(a.rels, b.rels)
+    )
+    return _trusted_structure(a.sig, a.n * m, rels)
 
 
 def disjoint_union(a, b):
@@ -372,29 +378,27 @@ def _disjoint_union_structures(a: Structure, b: Structure) -> Structure:
 
 def induced(a: Structure, keep) -> Structure:
     """Induced substructure on `keep`, renumbered in ascending old-id order."""
-    keep = sorted(set(keep))
-    idx = {x: i for i, x in enumerate(keep)}
     kset = set(keep)
-    rels = {}
-    for (name, _), r in zip(a.sig.symbols, a.rels):
-        rels[name] = frozenset(tuple(map(idx.__getitem__, t)) for t in r if kset.issuperset(t))
-    return Structure(a.sig, len(keep), rels)
+    keep = sorted(kset)
+    idx = {x: i for i, x in enumerate(keep)}
+    rels = tuple(frozenset(tuple(map(idx.__getitem__, t)) for t in r if kset.issuperset(t)) for r in a.rels)
+    return _trusted_structure(a.sig, len(keep), rels)
 
 
 def quotient(a: Structure, mapping, m: int) -> Structure:
     """Image structure under the surjection `mapping` onto 0..m-1."""
-    rels = {}
-    for (name, _), r in zip(a.sig.symbols, a.rels):
-        rels[name] = frozenset(tuple(mapping[x] for x in t) for t in r)
-    return Structure(a.sig, m, rels)
+    if any(not 0 <= mapping[x] < m for x in range(a.n)):
+        raise InvalidStructureError(f"mapping {list(mapping)!r} leaves 0..{m - 1}")
+    image = mapping.__getitem__
+    return _trusted_structure(a.sig, m, tuple(frozenset(tuple(map(image, t)) for t in r) for r in a.rels))
 
 
 def relabel(a: Structure, perm) -> Structure:
     """Isomorphic copy with element x renamed to perm[x]."""
-    rels = {}
-    for (name, _), r in zip(a.sig.symbols, a.rels):
-        rels[name] = frozenset(tuple(perm[x] for x in t) for t in r)
-    return Structure(a.sig, a.n, rels)
+    if any(not 0 <= perm[x] < a.n for x in range(a.n)):
+        raise InvalidStructureError(f"relabelling {list(perm)!r} leaves 0..{a.n - 1}")
+    image = perm.__getitem__
+    return _trusted_structure(a.sig, a.n, tuple(frozenset(tuple(map(image, t)) for t in r) for r in a.rels))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,23 @@
+import io
 import itertools
+import keyword
 import random
 import re
+import tokenize
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from homkit import homs
 from homkit.errors import InvalidStructureError
 from homkit.homs import (
+    _NEST_LIMIT,
+    _initial_domains,
     _retract_dominated,
     _set_partitions,
     _shrinking_endo,
+    _source_plan,
+    _target_tables,
     all_homs,
     check_homomorphism,
     core_of,
@@ -25,9 +33,11 @@ from homkit.structures import (
     PLAIN,
     HomMode,
     Homomorphism,
+    Structure,
     canonical_form,
     induced,
     is_isomorphic,
+    make_signature,
 )
 
 from util import (
@@ -177,10 +187,15 @@ def full_mode_instances(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(full_mode_instances())
+@example((
+    Structure(MIXED, 2, {"U": [(1,)]}),
+    Structure(MIXED, 2, {"U": [(0,), (1,)]}),
+    frozenset({("U", (0,))}),
+))  # plan order (1, 0) differs from index order
 def test_full_mode_free_slots_match_naive(instance):
     a, b, free = instance
     got = [h.mapping for h in all_homs(a, b, HomMode("full", free_tuples=free))]
-    assert got == naive_homs(a, b, "full", free_tuples=free)
+    assert got == in_plan_order(a, naive_homs(a, b, "full", free_tuples=free))
     h = hom_exists(a, b, HomMode("full", free_tuples=free))
     assert (h is None) == (not got)
     assert h is None or naive_valid(a, b, h.mapping, "full", free_tuples=free)
@@ -275,6 +290,111 @@ def test_one_plan_per_source_and_mode():
     assert hom_exists(a, clique(2)) is not None
     assert list(hom_maps(a, clique(3)))
     assert len(a._cache) == 1
+
+
+@st.composite
+def compile_instances(draw):
+    """A source of 0 up to one element past the compile limit; a target of 1
+    to 3 elements or, for a source of 1 to 6, in about half the cases the
+    source itself, so that full and injective maps exist; a mode with
+    noncollapse pairs and, in full mode, free slots; and a target element
+    to avoid or None."""
+    a = draw(mixed_structures(max_n=draw(st.sampled_from([4, 6, _NEST_LIMIT + 1])), max_tuples=6))
+    b = a if 0 < a.n <= 6 and draw(st.booleans()) else draw(mixed_structures(max_n=3, max_tuples=9, min_n=1))
+    tag = draw(st.sampled_from(["plain", "injective", "full"]))
+    noncollapse = frozenset()
+    if a.n > 1:
+        pairs = st.tuples(st.integers(0, a.n - 1), st.integers(0, a.n - 1)).filter(lambda p: p[0] != p[1])
+        noncollapse = draw(st.frozensets(pairs, max_size=3))
+    free = frozenset()
+    if tag == "full" and a.n:
+        elem = st.integers(0, a.n - 1)
+        slot = st.sampled_from(MIXED.symbols).flatmap(
+            lambda s: st.tuples(st.just(s[0]), st.tuples(*[elem] * s[1])))
+        free = draw(st.frozensets(slot, max_size=8))
+    avoid = draw(st.none() | st.integers(0, b.n - 1))
+    return a, b, HomMode(tag, noncollapse, free), avoid
+
+
+@settings(max_examples=300, deadline=None)
+@given(compile_instances())
+@example((digraph(3, [(0, 1)]), digraph(3, [(0, 1)]), FULL, None))  # absent pairs onto arcs
+def test_compiled_and_generic_searches_agree(instance):
+    # the emitted loop nest and the generic loop run one plan: the same maps,
+    # in the same order, whatever the source size, mode and constraints
+    a, b, mode, avoid = instance
+    got = list(itertools.islice(hom_maps(a, b, mode, _avoid=avoid), 60))
+    assert (_source_plan(a, mode)[0] is not None) == (0 < a.n <= _NEST_LIMIT)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_NEST_LIMIT", 0)
+        generic = Structure(a.sig, a.n, dict(zip(a.sig.names, a.rels)))
+        assert list(itertools.islice(hom_maps(generic, b, mode, _avoid=avoid), 60)) == got
+        assert _source_plan(generic, mode)[0] is None
+
+
+def test_equal_shaped_sources_share_one_compiled_search(monkeypatch):
+    first, second = dcycle(4), dcycle(4)
+    assert hom_exists(first, clique(3)) is not None
+    search = _source_plan(first, PLAIN)[0]
+    assert search.__code__.co_filename == "<homkit plan>"
+    # the shape is looked up before any text is made, so a fresh source of a
+    # known shape emits and compiles nothing
+    def refuse(*args):
+        raise AssertionError("emitted a known shape again")
+    monkeypatch.setattr(homs, "_emit_search", refuse)
+    compiled = len(homs._COMPILED)
+    assert hom_exists(second, clique(3)).mapping == hom_exists(first, clique(3)).mapping
+    assert _source_plan(second, PLAIN)[0] is search
+    assert len(homs._COMPILED) == compiled
+
+
+def test_emitted_code_holds_only_plan_integers(monkeypatch):
+    sig = make_signature([("Colour", 1), ("Edge", 2), ("Triple", 3)])
+    names = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    rels = {"Colour": [(0,), (2,)], "Edge": [(0, 1), (1, 2), (3, 3), (4, 5)], "Triple": [(0, 1, 3), (2, 2, 5)]}
+    texts = []
+    compile_search = homs._compile_search
+    monkeypatch.setattr(homs, "_COMPILED", {})
+    monkeypatch.setattr(homs, "_compile_search", lambda text: texts.append(text) or compile_search(text))
+    modes = [PLAIN, INJECTIVE, FULL, HomMode("full", frozenset({(0, 2)}), frozenset({("Edge", (1, 0))}))]
+    for n in (4, 6):
+        a = Structure(sig, n, {k: [t for t in v if max(t) < n] for k, v in rels.items()}, names[:n])
+        for mode in modes:
+            _source_plan(a, mode)
+    assert len(texts) == 2 * len(modes)
+    fixed = {"search", "tables", "doms", "avoid", "full", "bit_length"}
+    for text in texts:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            elif tok.type == tokenize.NAME:
+                assert (keyword.iskeyword(tok.string) or tok.string in fixed
+                        or re.fullmatch(r"[abdekmrtv]\d+(_\d+)?", tok.string)), tok
+
+
+@settings(max_examples=200, deadline=None)
+@given(arc_pass_instances())
+def test_skipped_arc_pass_keeps_the_domains(instance):
+    # a target whose rows leave no value of a large domain unsupported skips
+    # the arc pass; the domains are those the full pass gives
+    a, b, tag, noncollapse, free = instance
+    plan = _source_plan(a, HomMode(tag, noncollapse, free))
+    tables = _target_tables(b)
+    never = tables[:4] + ([b.n + 1] * len(tables[4]),)
+    for avoid in (None, 0):
+        assert _initial_domains(a.n, plan, tables, avoid) == _initial_domains(a.n, plan, never, avoid)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_arc_pass_is_skipped_into_cliques(k):
+    # into K_k every value has k - 1 in- and out-neighbours, so domains of 2
+    # or more values support every value: the pass reads no row at all, and
+    # blank rows leave the domains as they are
+    a = scycle(7)
+    rels, rows, masks, full, least = _target_tables(clique(k))
+    blank = [None if r is None else [0] * k for r in rows]
+    assert _initial_domains(a.n, _source_plan(a, PLAIN), (rels, blank, masks, full, least), None) == [full] * a.n
 
 
 def _transitive_tournament(k):

@@ -251,6 +251,36 @@ class TestIsomorphism:
     def test_point_vs_loop(self):
         assert not is_isomorphic(point(), loop_vertex())
 
+    @pytest.mark.parametrize("build", [
+        lambda a: quotient(a, [0, 2, 1], 2),
+        lambda a: quotient(a, [0, 1], 2),
+        lambda a: relabel(a, [0, 3, 1]),
+    ])
+    def test_images_outside_the_universe_are_rejected(self, build):
+        with pytest.raises((InvalidStructureError, IndexError)):
+            build(digraph(3, [(0, 1), (1, 2)]))
+
+
+def _checked_copy(s):
+    """`s` rebuilt through the public, checking constructor."""
+    return Structure(s.sig, s.n, dict(zip(s.sig.names, s.rels)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_structures(max_n=5), mixed_structures(max_n=3), st.randoms(use_true_random=False))
+def test_derived_structures_pass_the_checks(a, b, rng):
+    # induced, quotient, relabel and product skip the per-tuple checks; what
+    # they build must be what the checking constructor accepts and builds
+    keep = [x for x in range(a.n) if rng.random() < 0.6]
+    assign = [rng.randrange(max(1, a.n - 1)) for _ in range(a.n)]
+    m = max(assign, default=-1) + 1
+    perm = rng.sample(range(a.n), a.n)
+    for s in (induced(a, keep), quotient(a, assign, m), relabel(a, perm), product(a, b)):
+        assert all(type(r) is frozenset and all(type(t) is tuple for t in r) for r in s.rels)
+        copy = _checked_copy(s)
+        assert copy == s and copy.rels == s.rels and hash(copy) == hash(s)
+        assert s._cache == {} and s.element_names is None
+
 
 class TestSignatureLookup:
     def test_index_and_arity(self):
