@@ -52,6 +52,7 @@ from .structures import (
     HomMode,
     Homomorphism,
     Structure,
+    _trusted_homomorphism,
     canonical_form,
     induced,
     quotient,
@@ -162,7 +163,7 @@ _NEST_LIMIT = 16
 # Compiled searches by plan shape (see `_shape_key`), shared by every
 # source and mode whose plan has that shape.
 _COMPILED = {}
-_PLAN_GLOBALS = {}  # one globals dict for all compiled searches, which read no global name
+_PLAN_GLOBALS = {}  # one globals dict for all emitted code, which reads only builtins
 
 
 def _source_plan(a: Structure, mode: HomMode):
@@ -383,11 +384,16 @@ def _emit_search(n, order, node, injective, stages):
     return "\n".join(head + body) + "\n"
 
 
-def _compile_search(text):
-    """The function `search` defined by `text`, compiled under a fixed file name."""
+def _compile_search(text, filename="<homkit plan>"):
+    """The one function that `text` defines, compiled under `filename`.
+
+    Profiles and tracebacks show that name: `<homkit plan>` for searches,
+    `<homkit walker>` for the occurrence walkers of `patterns`.
+    """
     namespace = {}
-    exec(compile(text, "<homkit plan>", "exec"), _PLAN_GLOBALS, namespace)
-    return namespace["search"]
+    exec(compile(text, filename, "exec"), _PLAN_GLOBALS, namespace)
+    (function,) = namespace.values()
+    return function
 
 
 def _initial_domains(n, plan, tables, avoid):
@@ -567,13 +573,13 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
 def hom_exists(a: Structure, b: Structure, mode: HomMode = PLAIN) -> Homomorphism | None:
     """The first map of `hom_maps`, as a Homomorphism, or None."""
     m = next(hom_maps(a, b, mode), None)
-    return None if m is None else Homomorphism(a, b, m, mode)
+    return None if m is None else _trusted_homomorphism(a, b, m, mode)
 
 
 def all_homs(a: Structure, b: Structure, mode: HomMode = PLAIN):
     """`hom_maps`, in its order, each map wrapped as a Homomorphism."""
     for m in hom_maps(a, b, mode):
-        yield Homomorphism(a, b, m, mode)
+        yield _trusted_homomorphism(a, b, m, mode)
 
 
 def _maps_to(a: Structure, b: Structure, mode: HomMode = PLAIN) -> bool:

@@ -7,9 +7,15 @@ Membership search assigns lift classes to r-tuples and excludes the
 assignment fragments induced by pattern occurrences ("nogoods").  Each
 family compiles its patterns' shadows, color maps and modes once, on first
 use, and patterns that share a shadow and a mode share one occurrence
-search.  `solve_nogoods` decides the colouring; SNP evaluation uses the
-same walker and solver for its proof bits, as forbidden lifts and MMSNP
-are one problem.
+search.  The members of such a group are compacted once: a partial
+pattern written out as all its completions merges back into one shorter
+member (`_compact`).  Each compacted group is then emitted as Python, one
+walker function that turns every map of the shadow into the members'
+nogoods, compiled under the file name `<homkit walker>` and kept in one
+module-level dict keyed by the group's encoding, so families rebuilt from
+the same formula reuse it.  `solve_nogoods` decides the colouring; SNP
+evaluation uses the same walkers and solver for its proof bits, as
+forbidden lifts and MMSNP are one problem.
 
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
@@ -23,13 +29,12 @@ import functools
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 from .duality import dedup_hom_equivalent, forest_family_duals, terminal_structure
 from .enumeration import _sweep, all_structures
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
-from .homs import _maps_to, _set_partitions, core_of, hom_exists, hom_maps
+from .homs import _compile_search, _maps_to, _set_partitions, core_of, hom_exists, hom_maps
 from .shape import shortest_cycle
 from .structures import (
     HomMode,
@@ -92,11 +97,11 @@ class PatternFamily:
         """The occurrence programs of the patterns a partition lift can contain.
 
         Programs are grouped as `_group_programs` describes; patterns have
-        no absent slots, and a cell (getter, 0, color index) reads the image
-        of one colored r-tuple off a mapping tuple, as a bare element when
-        r = 1.  Built on first use and kept for the family's lifetime, so
-        membership calls share the shadows and the search plans cached on
-        them.
+        no absent slots, and a cell (r-tuple, 0, color index) says that the
+        image of one colored r-tuple takes that color.  The one space holds
+        a variable per r-tuple of the structure, with one value per color.
+        Built on first use and kept for the family's lifetime, so membership
+        calls share the shadows and the search plans cached on them.
         """
         out = []
         for p in self.patterns:
@@ -108,24 +113,171 @@ class PatternFamily:
                 # uncolored pattern tuple would need a colorless image, which a
                 # partition lift never provides
                 continue
-            cells = tuple((operator.itemgetter(*t), 0, ci) for t, ci in cmap.items())
+            cells = tuple((t, 0, ci) for t, ci in cmap.items())
             out.append((shadow(p), self.pattern_mode(p), frozenset(), cells))
-        return _group_programs(out)
+        return _group_programs(out, (len(self._colors),))
 
 
-def _group_programs(programs) -> tuple:
-    """Merge occurrence programs that share their occurrences.
+# Occurrence walkers by group (see `_walker`), shared by every family and
+# formula whose group encodes the same.
+_WALKERS = {}
 
-    A program is (shadow, HomMode, absent slots, cells); programs with equal
-    shadow, mode and absent slots (a frozenset) have the same occurrences in
-    every structure.  Each group comes back as (shadow, HomMode, absent
-    slots, the cells of each member), in order of first appearance, for
-    `_walk_occurrences` to search once.
+
+def _group_programs(programs, sizes) -> tuple:
+    """Merge occurrence programs that share their occurrences, and compile each group.
+
+    A program is (shadow, HomMode, absent slots, cells).  Absent slots are a
+    frozenset of (symbol index, tuple of shadow elements); a cell (tuple,
+    space, value) stands for the literal "the variable of the image of the
+    tuple in space `space` takes `value`", and space i has sizes[i] values.
+    Programs with equal shadow, mode and absent slots have the same
+    occurrences in every structure, so they form one group, whose members
+    are their cell sets.  Each group comes back as (shadow, HomMode,
+    walker), in order of first appearance; `_walker` compacts the members
+    and compiles the walker, and `_walk_occurrences` runs it.
     """
     groups = {}
     for sh, mode, absent, cells in programs:
-        groups.setdefault((sh, mode, absent), []).append(cells)
-    return tuple((sh, mode, absent, tuple(members)) for (sh, mode, absent), members in groups.items())
+        groups.setdefault((sh, mode, absent), set()).add(frozenset(cells))
+    return tuple((sh, mode, _walker(sh.n, mode, absent, members, sizes))
+                 for (sh, mode, absent), members in groups.items())
+
+
+def _walker(n, mode, absent, members, sizes):
+    """The compiled walker of one group, from `_WALKERS` when its encoding is known.
+
+    The encoding holds everything the walker depends on, as plain integers
+    and tuples: the shadow size, whether the maps are injective, the
+    noncollapse pairs, the absent slots, the space sizes and the members.
+    A group is stored under its own encoding and under that of its
+    compacted members, so families rebuilt from the same formula, and
+    groups that compact alike, share one function, and a known group is
+    neither compacted nor emitted again.
+    """
+    injective = mode.tag == "injective"
+    apart = frozenset() if injective else mode.noncollapse
+    key = (n, injective, apart, absent, sizes, frozenset(members))
+    walk = _WALKERS.get(key)
+    if walk is None:
+        kept = _compact(members, sizes)
+        compact_key = key[:5] + (frozenset(kept),)
+        walk = _WALKERS.get(compact_key)
+        if walk is None:
+            walk = _compile_search(_emit_walker(n, absent, kept, injective, apart), "<homkit walker>")
+        _WALKERS[key] = _WALKERS[compact_key] = walk
+    return walk
+
+
+def _compact(members, sizes) -> list:
+    """The members of a group with the same solutions and fewer, shorter nogoods.
+
+    - A member with two values on one (tuple, space) never fires: dropped.
+    - Members equal but for one cell (tuple, space, value), whose values
+      cover all sizes[space] values of the space, imply the member without
+      that cell: every colouring gives the cell's variable some value, and
+      the member with that value then fires.  Merges repeat to a fixpoint,
+      each member being filed once per cell under (member minus the cell,
+      tuple, space) with the values seen there.
+    - A member containing another member is dropped, since every
+      occurrence that fires it fires the smaller one too.
+    Two cells of a member that land on one variable at an occurrence do
+    not break the argument: where they clash the walk drops the member and
+    every merge of it alike.  Members are bitmasks over the distinct cells
+    while they merge; the result comes shortest first.
+    """
+    cells, bit_of = [], {}
+    live = set()
+    for m in members:
+        mask, seen = 0, {}
+        for cell in m:
+            t, space, v = cell
+            if seen.setdefault((t, space), v) != v:
+                break
+            if cell not in bit_of:
+                bit_of[cell] = 1 << len(cells)
+                cells.append(cell)
+            mask |= bit_of[cell]
+        else:
+            live.add(mask)
+    slots = {}  # (tuple, space) -> its index
+    slot, value, full = [], [], []  # per cell: its slot, 1 << its value, all values of its space
+    for t, space, v in cells:
+        slot.append(slots.setdefault((t, space), len(slots)))
+        value.append(1 << v)
+        full.append((1 << sizes[space]) - 1)
+    nslots = max(len(slots), 1)
+    values = {}  # (member minus a cell) * nslots + the cell's slot -> the values seen there
+    work = list(live)
+    while work:
+        m = work.pop()
+        bits = m
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            i = bit.bit_length() - 1
+            rest = m ^ bit
+            key = rest * nslots + slot[i]
+            got = values[key] = values.get(key, 0) | value[i]
+            if got == full[i] and rest not in live:
+                live.add(rest)
+                work.append(rest)
+    kept = []
+    for m in sorted(live, key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    kept = [frozenset(c for i, c in enumerate(cells) if m >> i & 1) for m in kept]
+    return sorted(kept, key=lambda m: (len(m), sorted(m)))
+
+
+def _emit_walker(n, absent, members, injective, apart):
+    """The source text of the walker `walk(maps, rels, spaces, add)` of one group.
+
+    For each map, unpacked into x0 .. x{n-1}, the walker skips it when an
+    absent slot's image is a tuple of `rels`, then reads each variable a
+    member needs once, as `spaces[space][image]` (the image is a bare
+    element for a 1-tuple), and passes each member's nogood, a frozenset of
+    (variable, value) literals, to `add`.  Two cells of one member on one
+    space with distinct tuples and distinct values get a guard that the
+    variables differ, unless the two tuples can never have one image: under
+    injective maps, or when some position holds a noncollapse pair.  A
+    member without cells makes the walker return True at the first map
+    that passes the absent slots.  Names are made of letters and integers
+    only.
+    """
+    xs = [f"x{i}" for i in range(n)]
+
+    def tuple_text(items):
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+
+    def image(t):
+        return xs[t[0]] if len(t) == 1 else tuple_text([xs[x] for x in t])
+
+    def may_meet(t, u):
+        return not injective and all(x == y or (x, y) not in apart and (y, x) not in apart for x, y in zip(t, u))
+
+    body = [f" for {tuple_text(xs)} in maps:"]
+    tests = [f"{tuple_text([xs[x] for x in t])} in r{si}" for si, t in sorted(absent)]
+    if tests:
+        body.append(f"  if {' or '.join(tests)}: continue")
+    var = {}  # (tuple, space) -> the name of its variable
+    for m in members:
+        for t, space, _ in sorted(m):
+            if (t, space) not in var:
+                var[t, space] = name = f"v{len(var)}"
+                body.append(f"  {name} = s{space}[{image(t)}]")
+    for m in members:
+        if not m:
+            body.append("  return True")
+            break
+        cells = sorted(m)
+        guards = [f"{var[t, sp]} != {var[u, sq]}" for (t, sp, v), (u, sq, w) in itertools.combinations(cells, 2)
+                  if sp == sq and t != u and v != w and may_meet(t, u)]
+        add = f"add(frozenset({tuple_text([f'({var[t, space]}, {v})' for t, space, v in cells])}))"
+        body.append(f"  if {' and '.join(guards)}: {add}" if guards else f"  {add}")
+    head = ["def walk(maps, rels, spaces, add):"]
+    head += [f" r{si} = rels[{si}]" for si in sorted({si for si, _ in absent})]
+    head += [f" s{space} = spaces[{space}]" for space in sorted({space for _, space in var})]
+    return "\n".join(head + body) + "\n"
 
 
 def pattern_color_map(fam: PatternFamily, p: Lift):
@@ -275,33 +427,22 @@ def solve_nogoods(nvars: int, k: int, nogoods):
 def _walk_occurrences(programs, a: Structure, spaces):
     """The nogoods that occurrences of compiled programs in `a` impose, or None.
 
-    A program, as `_group_programs` builds it, is (shadow, HomMode, absent
-    slots, members), each member a tuple of cells.  Every map `hom_maps`
-    yields from the shadow into `a` whose absent slots (symbol index,
-    tuple) all map onto tuples missing from `a` is an occurrence of every
-    member, so each shadow is searched once.  A member's cells (getter,
-    space, value) give the literals `spaces[space][getter(map)] = value`: a
-    fragment that gives one variable two values can never hold and is
-    dropped, and an empty fragment is an unconditional occurrence, for
-    which the walk returns None.  Otherwise the set of distinct fragments
-    comes back in no particular order, which `solve_nogoods` does not
-    depend on.
+    A program, as `_group_programs` builds it, is (shadow, HomMode,
+    walker).  Every map `hom_maps` yields from the shadow into `a` is handed
+    to the walker, which skips the maps that hit an absent slot and adds
+    the nogood of each member, its cells read as literals over
+    `spaces[space]`, to one set.  A member that can never hold at a map
+    adds nothing there, and a member without cells makes every occurrence
+    unconditional, for which the walk returns None.  Otherwise the set of
+    distinct nogoods comes back in no particular order, which
+    `solve_nogoods` does not depend on.
     """
     rels = a.rels
     nogoods = set()
-    for sh, mode, absent, members in programs:
-        for m in hom_maps(sh, a, mode):
-            if absent and any(tuple([m[x] for x in t]) in rels[si] for si, t in absent):
-                continue
-            for cells in members:
-                frag = {}
-                for get, space, value in cells:
-                    if frag.setdefault(spaces[space][get(m)], value) != value:
-                        break  # two cells land on one variable with different values
-                else:
-                    if not frag:
-                        return None
-                    nogoods.add(frozenset(frag.items()))
+    add = nogoods.add
+    for sh, mode, walk in programs:
+        if walk(hom_maps(sh, a, mode), rels, spaces, add):
+            return None
     return nogoods
 
 
@@ -324,7 +465,7 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
         raise GuardExceededError(
             f"{len(colors)}^{len(slots)} colorings exceed the membership cap"
         )
-    # keyed like the compiled getters' output: bare elements when r = 1
+    # keyed as the walkers read images: bare elements when r = 1
     slot_index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
     nogoods = _walk_occurrences(fam._compiled, a, (slot_index,))
     if nogoods is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
@@ -70,9 +69,12 @@ class SNPFormula:
         A clause's shadow has its variables as elements and its positive
         input atoms as tuples; its inequalities are noncollapse pairs, its
         negated input atoms absent slots, and each proof atom a cell
-        (getter, proof symbol, polarity).  Programs are grouped as
-        `patterns._group_programs` describes.
+        (tuple of variable indices, proof symbol index, polarity as 0 or 1).
+        Space i holds the proof bits of the i-th proof symbol, with two
+        values each.  Programs are grouped as `patterns._group_programs`
+        describes.
         """
+        pidx = {name: i for i, (name, _) in enumerate(self.proof)}
         out = []
         for c in self.clauses:
             read = _read_clause(c)
@@ -81,12 +83,9 @@ class SNPFormula:
             var_ix, held, absent, noncollapse = read
             sh = Structure(self.input_sig, len(c.variables), held, c.variables)
             absent = frozenset((self.input_sig.index(sym), t) for sym, t in absent)
-            cells = tuple(
-                (operator.itemgetter(*(var_ix[v] for v in at.args)), at.symbol, at.positive)
-                for at in c.beta
-            )
+            cells = tuple((tuple(var_ix[v] for v in at.args), pidx[at.symbol], int(at.positive)) for at in c.beta)
             out.append((sh, HomMode("plain", noncollapse), absent, cells))
-        return _group_programs(out)
+        return _group_programs(out, (2,) * len(self.proof))
 
 
 @dataclass(frozen=True)
@@ -238,12 +237,12 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     bits = sum(n**par for _, par in phi.proof)
     if bits > bits_cap:
         raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
-    spaces = {}
+    spaces = []
     first = 0
-    for pname, par in phi.proof:
-        # keyed like the compiled getters' output: bare elements for arity 1
+    for _, par in phi.proof:
+        # keyed as the walkers read images: bare elements for arity 1
         tuples = itertools.product(range(n), repeat=par)
-        spaces[pname] = {t[0] if par == 1 else t: first + i for i, t in enumerate(tuples)}
+        spaces.append({t[0] if par == 1 else t: first + i for i, t in enumerate(tuples)})
         first += n**par
     nogoods = _walk_occurrences(phi._compiled, a, spaces)
     return nogoods is not None and solve_nogoods(bits, 2, nogoods) is not None

@@ -259,6 +259,17 @@ def _trusted_structure(sig: Signature, n: int, rels: tuple, element_names=None) 
     return s
 
 
+def _trusted_homomorphism(source: Structure, target: Structure, mapping: tuple, mode: HomMode) -> Homomorphism:
+    """A Homomorphism built without the dataclass `__init__`, for a map a search found.
+
+    Equal, with equal hash and repr, to `Homomorphism(source, target,
+    mapping, mode)`.
+    """
+    h = object.__new__(Homomorphism)
+    h.__dict__.update(source=source, target=target, mapping=mapping, mode=mode)
+    return h
+
+
 def _trusted_partition_lift(sig: Signature, n: int, rels: tuple, element_names, r: int) -> Lift:
     """A partition lift built without the checks of `Structure` and `Lift`.
 

@@ -332,6 +332,15 @@ def test_compiled_and_generic_searches_agree(instance):
         assert _source_plan(generic, mode)[0] is None
 
 
+@pytest.mark.parametrize("mode", [PLAIN, INJECTIVE, FULL])
+def test_witnesses_equal_the_public_constructor(mode):
+    a, b = dpath(2), clique(4) if mode is not FULL else dcycle(4)
+    for h in [hom_exists(a, b, mode), *all_homs(a, b, mode)]:
+        public = Homomorphism(a, b, h.mapping, mode)
+        assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
+        assert check_homomorphism(h) == (True, None)
+
+
 def test_equal_shaped_sources_share_one_compiled_search(monkeypatch):
     first, second = dcycle(4), dcycle(4)
     assert hom_exists(first, clique(3)) is not None

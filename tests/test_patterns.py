@@ -1,4 +1,9 @@
+import io
 import itertools
+import keyword
+import re
+import time
+import tokenize
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +27,7 @@ from homkit.patterns import (
     union_families,
     verify_shadow_duality,
 )
+from homkit.snp import parse_snp
 from homkit.structures import (
     Homomorphism,
     Lift,
@@ -39,11 +45,14 @@ from util import (
     clique,
     dcycle,
     digraph,
+    fully_colored,
     monadic_families,
     naive_family_nogoods,
     naive_homs,
     naive_injective_expansion,
     naive_normalize,
+    partial_families,
+    same_constraint,
     shadow_sharing_families,
     ue_structures,
 )
@@ -176,18 +185,14 @@ class TestMembership:
 
 
 class TestGroupedWalk:
-    @staticmethod
-    def walk(fam, a):
-        r = fam.lift_arity
-        slots = itertools.product(range(a.n), repeat=r)
-        index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
-        got = patterns._walk_occurrences(fam._compiled, a, (index,))
-        return None if got is None else set(got)
-
     @settings(max_examples=300, deadline=None)
     @given(fam=shadow_sharing_families(), a=ue_structures())
     def test_matches_the_per_pattern_walk(self, fam, a):
-        assert self.walk(fam, a) == naive_family_nogoods(fam, a)
+        r = fam.lift_arity
+        slots = itertools.product(range(a.n), repeat=r)
+        index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
+        walked = patterns._walk_occurrences(fam._compiled, a, (index,))
+        assert same_constraint(a.n**r, len(fam.colors()), walked, naive_family_nogoods(fam, a))
 
     def test_one_search_per_shared_shadow(self, monkeypatch):
         searched = []
@@ -219,6 +224,102 @@ class TestGroupedWalk:
                 assert classify_cover(w.struct, r) == "partition"
                 assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
             assert members > 0
+
+
+RSIG = make_signature([("E", 2), ("R", 2), ("B", 2)], lift=["R", "B"])
+
+
+def written_out(n, base, colored):
+    """The partition lifts over RSIG on n elements with the `base` tuples and the
+    colors `colored` gives (2-tuple -> "R" or "B"), every other 2-tuple taking
+    both colors in turn."""
+    free = [t for t in itertools.product(range(n), repeat=2) if t not in colored]
+    for extra in itertools.product("RB", repeat=len(free)):
+        rels = {"R": [], "B": [], **base}
+        for t, c in [*colored.items(), *zip(free, extra)]:
+            rels[c].append(t)
+        yield Lift(Structure(RSIG, n, rels), 2, "partition")
+
+
+def ramsey_family():
+    """Arc 2-colorings with no monochromatic directed triangle and both
+    directions of a pair alike: 64 + 64 + 4 written-out patterns."""
+    tri = [(0, 1), (1, 2), (2, 0)]
+    pats = [p for c in "RB" for p in written_out(3, {"E": tri}, dict.fromkeys(tri, c))]
+    pats += written_out(2, {}, {(0, 1): "R", (1, 0): "B"})
+    return PatternFamily(RSIG, tuple(pats), "plain", 2)
+
+
+class TestCompactedWalk:
+    def test_ramsey_family(self, monkeypatch):
+        first = []
+        for _ in range(3):
+            # a new family with no walker known: its first call compiles it
+            monkeypatch.setattr(patterns, "_WALKERS", {})
+            fam = ramsey_family()
+            t0 = time.perf_counter()
+            fp_membership(clique(3), fam)
+            first.append(time.perf_counter() - t0)
+        assert len(fam.patterns) == 132
+        assert min(first) < 0.02, first
+        for n in (3, 4, 5):
+            w = fp_membership(clique(n), fam)
+            assert w is not None and classify_cover(w.struct, 2) == "partition"
+            assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+        t0 = time.perf_counter()
+        assert fp_membership(clique(6), fam) is None  # R(3,3) = 6
+        assert time.perf_counter() - t0 < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(fam=partial_families(), data=st.data())
+    def test_written_out_patterns_decide_as_brute_force(self, fam, data):
+        a = data.draw(ue_structures(max_n=3 if fam.lift_arity == 1 else 2))
+        full = fully_colored(fam)
+        w = fp_membership(a, full)
+        assert (w is not None) == naive_membership(a, full)
+        if w is not None:
+            assert all(lift_occurrence(full, p, w) is None for p in full.patterns)
+        if fam.mode_tag != "full":  # full mode never matches an uncolored tuple
+            assert (fp_membership(a, fam) is None) == (w is None)
+
+    def test_equal_groups_of_two_families_share_one_walker(self, monkeypatch):
+        sig = make_signature([("Arc", 2), ("Red", 1), ("Green", 1), ("Blue", 1)], lift=["Red", "Green", "Blue"])
+        pats = tuple(Lift(Structure(sig, 2, {"Arc": [(0, 1)], c: [(0,), (1,)]}), 1, "none") for c in ("Red", "Green", "Blue"))
+        other = PatternFamily(sig, pats, "plain", 1)
+        (_, _, walk), = three_col_family()._compiled
+        # the group is looked up before any text is made
+        monkeypatch.setattr(patterns, "_emit_walker", lambda *args: pytest.fail("emitted a known group again"))
+        (_, _, other_walk), = other._compiled
+        assert other_walk is walk
+        assert walk.__code__.co_filename == "<homkit walker>"
+
+        def arc_clique(n):
+            return Structure(other.base_sig, n, {"Arc": [(x, y) for x in range(n) for y in range(n) if x != y]})
+
+        assert fp_membership(arc_clique(4), other) is None and fp_membership(arc_clique(3), other) is not None
+
+    def test_emitted_text_names_no_symbol_color_or_proof(self, monkeypatch):
+        texts = []
+        compile_search = patterns._compile_search
+        monkeypatch.setattr(patterns, "_WALKERS", {})
+        monkeypatch.setattr(patterns, "_compile_search", lambda text, name: texts.append(text) or compile_search(text, name))
+        sig = make_signature([("Arc", 2), ("Mark", 1), ("Red", 2), ("Blue", 2)], lift=["Red", "Blue"])
+        rels = {"Arc": [(0, 1)], "Mark": [(1,)], "Red": [(0, 1), (1, 0), (0, 0)], "Blue": [(1, 1)]}
+        pattern = Lift(Structure(sig, 2, rels), 2, "partition", frozenset({(0, 1)}))
+        PatternFamily(sig, (pattern,), "plain", 2)._compiled
+        phi = parse_snp("""snp named { input { Arc/2 Mark/1 } proof { Proofy/1 Witness/2 }
+          clause NOT( Arc(x,y) & !Mark(y) & Proofy(x) & !Witness(y,x) & x != y ) ;
+          clause NOT( Arc(x,y) & Mark(x) & Proofy(x) & Witness(x,x) ) ; }""")
+        phi._compiled
+        assert len(texts) == 3
+        names = {"Arc", "Mark", "Red", "Blue", "Proofy", "Witness", "named", "x", "y"}
+        fixed = {"walk", "maps", "rels", "spaces", "add", "frozenset"}
+        for text in texts:
+            for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+                assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
+                assert tok.string not in names, tok
+                if tok.type == tokenize.NAME:
+                    assert keyword.iskeyword(tok.string) or tok.string in fixed or re.fullmatch(r"[rsvx]\d+", tok.string), tok
 
 
 class TestMakePartitionLift:

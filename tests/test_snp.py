@@ -32,6 +32,8 @@ from util import (
     mixed_structures,
     naive_formula_nogoods,
     naive_saturate_inequalities,
+    partial_formulas,
+    same_constraint,
     shadow_sharing_formulas,
     ue_structures,
 )
@@ -216,14 +218,24 @@ def test_eval_matches_brute_force_mixed(phi, a):
 @given(phi=shadow_sharing_formulas(), a=ue_structures())
 @settings(max_examples=300, deadline=None)
 def test_grouped_walk_matches_the_per_clause_walk(phi, a):
-    spaces = {}
+    spaces = []
     first = 0
     for name, arity in phi.proof:
         tuples = itertools.product(range(a.n), repeat=arity)
-        spaces[name] = {t[0] if arity == 1 else t: first + i for i, t in enumerate(tuples)}
+        spaces.append({t[0] if arity == 1 else t: first + i for i, t in enumerate(tuples)})
         first += a.n**arity
-    got = _walk_occurrences(phi._compiled, a, spaces)
-    assert (None if got is None else set(got)) == naive_formula_nogoods(phi, a)
+    walked = _walk_occurrences(phi._compiled, a, spaces)
+    assert same_constraint(first, 2, walked, naive_formula_nogoods(phi, a))
+
+
+@given(pair=partial_formulas(), a=ue_structures())
+@settings(max_examples=150, deadline=None)
+def test_written_out_clauses_evaluate_as_brute_force(pair, a):
+    # negated input atoms are absent slots, inequalities noncollapse pairs
+    phi, written = pair
+    want = _brute_eval(phi, a)
+    assert eval_snp(written, a) == want
+    assert eval_snp(phi, a) == want
 
 
 def test_formula_compiles_once(monkeypatch):

@@ -187,19 +187,58 @@ def monadic_families(draw, uncolored=True):
 def fully_colored(fam):
     """The family with every pattern replaced by all its full colorings, in order.
 
-    On partition lifts a plain pattern is the union of its full colorings,
-    so the language is the same.
+    Each r-tuple that a pattern leaves uncolored takes every color in turn.
+    On partition lifts a plain or injective pattern is the union of its
+    full colorings, so the language is the same.
     """
     colors = fam.colors()
     pats = []
     for p in fam.patterns:
-        uncolored = [x for x in range(p.struct.n) if not any((x,) in p.struct.rel(c) for c in colors)]
+        tuples = itertools.product(range(p.struct.n), repeat=fam.lift_arity)
+        uncolored = [t for t in tuples if not any(t in p.struct.rel(c) for c in colors)]
         for extra in itertools.product(colors, repeat=len(uncolored)):
             rels = {name: set(p.struct.rel(name)) for name, _ in fam.sig.symbols}
-            for x, c in zip(uncolored, extra):
-                rels[c].add((x,))
+            for t, c in zip(uncolored, extra):
+                rels[c].add(t)
             pats.append(Lift(Structure(fam.sig, p.struct.n, rels), p.lift_arity, p.cover_mode, p.noncollapse, p.free_tuples))
     return PatternFamily(fam.sig, tuple(pats), fam.mode_tag, fam.lift_arity)
+
+
+@st.composite
+def partial_families(draw):
+    """Families over UE whose patterns color only some of their r-tuples.
+
+    Lift arity 1 (one to three colors, patterns of 1-3 elements) or 2 (one
+    or two colors, patterns of 1-2 elements), any of the three modes.  Each
+    pattern leaves at most three r-tuples uncolored, may keep a pair of
+    elements apart, and in full mode may waive one slot.
+    """
+    r = draw(st.integers(1, 2))
+    mode = draw(st.sampled_from(["plain", "injective", "full"]))
+    colors = [f"C{i}" for i in range(draw(st.integers(1, 3 if r == 1 else 2)))]
+    base = list(UE.symbols)
+    sig = make_signature(base + [(c, r) for c in colors], lift=colors)
+    pats = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(1, 3 if r == 1 else 2))
+        elem = st.integers(0, n - 1)
+        rels = {
+            "U": set(draw(st.lists(st.tuples(elem), max_size=2))),
+            "E": set(draw(st.lists(st.tuples(elem, elem), max_size=3))),
+        }
+        tuples = list(itertools.product(range(n), repeat=r))
+        uncolored = set(draw(st.lists(st.sampled_from(tuples), max_size=3)))
+        for t in tuples:
+            if t not in uncolored:
+                rels.setdefault(draw(st.sampled_from(colors)), set()).add(t)
+        pairs = list(itertools.combinations(range(n), 2))
+        noncollapse = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=1))) if pairs else frozenset()
+        free = frozenset()
+        if mode == "full":
+            slots = [(name, t) for name, arity in base for t in itertools.product(range(n), repeat=arity)]
+            free = frozenset(draw(st.lists(st.sampled_from(slots), max_size=1)))
+        pats.append(Lift(Structure(sig, n, rels), r, "none", noncollapse, free))
+    return PatternFamily(sig, tuple(pats), mode, r)
 
 
 def naive_normalize(fam, cap=512):
@@ -366,6 +405,53 @@ def naive_formula_nogoods(phi, a):
     return nogoods
 
 
+def naive_solutions(nvars, k, nogoods):
+    """Every assignment avoiding all nogoods, as a set of value tuples.
+
+    A nogood is a collection of (variable, value) literals over variables
+    0..nvars-1 and values 0..k-1; an empty one excludes everything.
+    Assignments are extended one variable at a time, and a nogood is tested
+    once its last variable has a value.
+    """
+    by_last = [[] for _ in range(nvars)]
+    for g in nogoods:
+        if not g:
+            return set()
+        by_last[max(v for v, _ in g)].append(g)
+    out = set()
+    prefix = []
+
+    def extend():
+        i = len(prefix)
+        if i == nvars:
+            out.add(tuple(prefix))
+            return
+        for c in range(k):
+            prefix.append(c)
+            if not any(all(prefix[v] == d for v, d in g) for g in by_last[i]):
+                extend()
+            prefix.pop()
+
+    extend()
+    return out
+
+
+def same_constraint(nvars, k, walked, naive):
+    """Whether compacted nogoods `walked` say what `naive` says; None is the empty nogood.
+
+    (a) both have the same solutions, by `naive_solutions`; (b) every naive
+    nogood contains a walked one; (c) every walked nogood lies inside a
+    naive one.
+    """
+    walked = {frozenset()} if walked is None else set(walked)
+    naive = {frozenset()} if naive is None else naive
+    return (
+        naive_solutions(nvars, k, walked) == naive_solutions(nvars, k, naive)
+        and all(any(w <= g for w in walked) for g in naive)
+        and all(any(w <= g for g in naive) for w in walked)
+    )
+
+
 @st.composite
 def ue_structures(draw, max_n=3):
     """Structures over UE with at most max_n elements."""
@@ -444,6 +530,35 @@ def shadow_sharing_formulas(draw):
         eps = draw(st.lists(st.sampled_from(pairs), max_size=1)) if pairs else []
         clauses.append(Clause(tuple(names), tuple(shared + negated), tuple(beta), tuple(eps)))
     return SNPFormula(UE, SHARING_PROOF, tuple(clauses))
+
+
+@st.composite
+def partial_formulas(draw):
+    """A formula over UE with proof symbols P/1 and Q/2, and the same formula written out.
+
+    Each clause has two or three variables, input atoms (some negated) and
+    maybe an inequality, and decides a few proof atoms.  The written-out
+    formula replaces each clause by all polarity completions of up to three
+    proof atoms that it leaves undecided: the same constraint.
+    """
+    clauses, written = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        names = ("x", "y", "z")[: draw(st.integers(2, 3))]
+        var = st.sampled_from(names)
+        alpha = [Atom("E", draw(st.tuples(var, var)), draw(st.booleans())) for _ in range(draw(st.integers(1, 2)))]
+        alpha += [Atom("U", (draw(var),), draw(st.booleans())) for _ in range(draw(st.integers(0, 1)))]
+        atoms = [("P", (v,)) for v in names] + [("Q", t) for t in itertools.product(names, repeat=2)]
+        decided = draw(st.lists(st.sampled_from(atoms), max_size=2, unique=True))
+        beta = tuple(Atom(sym, args, draw(st.booleans())) for sym, args in decided)
+        pairs = list(itertools.combinations(names, 2))
+        eps = tuple(draw(st.lists(st.sampled_from(pairs), max_size=1)))
+        clauses.append(Clause(names, tuple(alpha), beta, eps))
+        undecided = [at for at in atoms if at not in decided]
+        extra = draw(st.lists(st.sampled_from(undecided), max_size=3, unique=True))
+        for signs in itertools.product((True, False), repeat=len(extra)):
+            more = tuple(Atom(sym, args, pos) for (sym, args), pos in zip(extra, signs))
+            written.append(Clause(names, tuple(alpha), beta + more, eps))
+    return SNPFormula(UE, SHARING_PROOF, tuple(clauses)), SNPFormula(UE, SHARING_PROOF, tuple(written))
 
 
 def naive_injective_expansion(fam):
