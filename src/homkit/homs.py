@@ -9,6 +9,13 @@ forward checking on held binary tuples, and tests what is left (absent
 pairs, tuples of arity 3 or more, noncollapse pairs) once the tuple is
 fully assigned.
 
+The plan reads each binary relation once, into adjacency lists per
+constraint code: for each element, its partners in held tuples and, in
+full mode, in absent pairs.  The degrees, the forward checks and the arc
+pass all read these lists.  The arc pass revises an element's partners
+one code at a time, and skips a code whose support (the target values
+its partners may take) is the one it last applied from that element.
+
 Every search follows one element order per source and mode: most tuples
 first, ties by index.  Values are tried in increasing order along it, so
 `hom_maps` yields each map once, in lexicographic order of its images read
@@ -169,7 +176,16 @@ _PLAN_GLOBALS = {}  # one globals dict for all emitted code, which reads only bu
 def _source_plan(a: Structure, mode: HomMode):
     """Compile the source side of a search once per (structure, mode).
 
-    Stage s assigns element order[s].  What each stage enforces:
+    One pass over the tuples reads each binary relation into adjacency
+    lists by code (see `_target_tables`): `lists[x]` holds x's partners, the
+    other ends of x's held tuples u != v under codes 4*symbol and
+    4*symbol + 1.  Outside full mode the same pass collects the all-equal
+    tuples.  An element's degree is its held list lengths plus its loops
+    and the other tuples that contain it.  Stage s assigns element
+    order[s], most tuples first, ties by index.  Once the order is known,
+    the forward checks are read off the held lists, and in full mode the
+    absent pairs that are not free are listed under 4*symbol + 2 and
+    4*symbol + 3.  What each stage enforces:
     - node[x]: all-equal tuples (x, ..., x), folded into x's initial domain;
     - fwd[s]: a held binary tuple with one later coordinate y restricts D(y)
       to rows[code][value] as soon as its earlier coordinate is assigned;
@@ -178,19 +194,21 @@ def _source_plan(a: Structure, mode: HomMode):
     - checks[s]: tuples of arity 3 or more, tested once fully assigned;
     - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
       the earlier partner and pruned from the later partner's domain.
-    Sources with more than 4 elements also carry watch lists for the arc
-    pass: per element x, the partners and codes revised when D(x) shrinks,
-    and the codes watched at all.  A table that stays empty (checks2
-    outside full mode, checks without a symbol of arity 3 or more, the
-    collapse tables without noncollapse pairs) is one shared tuple of empty
-    tuples; elsewhere a slot gets a list at its first entry.
+    A table that stays empty (checks2 outside full mode, checks without a
+    symbol of arity 3 or more, the collapse tables without noncollapse
+    pairs) is one shared tuple of empty tuples.  A slot of node, checks or
+    the collapse tables gets a list at its first entry; fwd and checks2
+    have a list per stage.
 
     The plan is (search, node, watches, order, fwd, checks2, checks,
-    collapse_check, collapse_fwd).  On a source of 1 to `_NEST_LIMIT`
-    elements `search` is the plan emitted as Python (`_emit_search`) and
-    the plan stops after `watches`; `node` is None too when there are no
-    watch lists, since the emitted code folds it in.  Otherwise `search`
-    is None and `_search_loop` reads the tables.
+    collapse_check, collapse_fwd).  `watches` is the list of (code, lists)
+    for every code with a partner, the adjacency lists themselves: when
+    D(x) shrinks, the arc pass revises lists[x] under each code.  It is
+    None on sources of 4 elements or fewer.  On a source of 1 to
+    `_NEST_LIMIT` elements `search` is the plan emitted as Python
+    (`_emit_search`) and the plan stops after `watches`; `node` is None too
+    when `watches` is, since the emitted code folds it in.  Otherwise
+    `search` is None and `_search_loop` reads the tables.
     """
     partial = mode.noncollapse or mode.free_tuples
     key = ("plan", mode.tag, mode.noncollapse, mode.free_tuples) if partial else mode.tag
@@ -200,62 +218,68 @@ def _source_plan(a: Structure, mode: HomMode):
     _check_mode(a, mode)
     n = a.n
     full = mode.tag == "full"
+    free = {(a.sig.index(name), t) for name, t in mode.free_tuples}
     deg = [0] * n
-    for (_, arity), r in zip(a.sig.symbols, a.rels):
-        for t in r:
-            for x in (t if arity == 2 and t[0] != t[1] else set(t)):
-                deg[x] += 1
+    node = [()] * n  # per element: (symbol, present)
+    groups = []  # (code, per element: its partners under it): held codes here, absent ones below
+    for si, (_, arity) in enumerate(a.sig.symbols):
+        ra = a.rels[si]
+        loops = []  # elements with a held all-equal tuple
+        if arity == 2:
+            heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
+            for u, v in ra:
+                if u != v:
+                    heads[u].append(v)
+                    tails[v].append(u)
+                else:
+                    deg[u] += 1
+                    loops.append(u)
+            if any(heads):
+                groups += [(4 * si, heads), (4 * si + 1, tails)]
+                deg = [d + len(h) + len(t) for d, h, t in zip(deg, heads, tails)]
+        else:
+            for t in ra:
+                if t.count(t[0]) == arity:
+                    loops.append(t[0])
+                for x in set(t):
+                    deg[x] += 1
+        for x in range(n) if full else loops:
+            t = (x,) * arity
+            if t in ra or (si, t) not in free:
+                _push(node, x, (si, t in ra))
     order = sorted(range(n), key=deg.__getitem__, reverse=True)
     stage_of = [0] * n
     for s, x in enumerate(order):
         stage_of[x] = s
-    free = {(a.sig.index(name), t) for name, t in mode.free_tuples}
 
     empty = ((),) * n
-    node = [()] * n  # per element: (symbol, present)
-    fwd = [()] * n  # per stage: (later element, code)
+    fwd = [[] for _ in range(n)]  # per stage: (later element, code)
+    for code, heads in groups[::2]:
+        for u, vs in enumerate(heads):
+            su = stage_of[u]
+            for v in vs:
+                if su < stage_of[v]:
+                    fwd[su].append((v, code))
+                else:
+                    fwd[stage_of[v]].append((u, code + 1))
     checks2 = [[] for _ in range(n)] if full else empty  # per stage: (symbol, u, v) that must stay absent
     checks = [()] * n if any(k > 2 for _, k in a.sig.symbols) else empty  # per stage: (symbol, tuple, present)
-    watch = n > 4  # on smaller sources the arc pass costs more than it prunes
-    partners = [[] if full or d else () for d in deg] if watch else None
-    codes = [[] if full or d else () for d in deg] if watch else None
     for si, (_, arity) in enumerate(a.sig.symbols):
         ra = a.rels[si]
-        for x in range(n):
-            t = (x,) * arity
-            if t in ra or full and (si, t) not in free:
-                _push(node, x, (si, t in ra))
-        if arity == 2:
-            code = 4 * si
-            for u, v in ra:
-                if u == v:
-                    continue
-                if stage_of[u] < stage_of[v]:
-                    _push(fwd, stage_of[u], (v, code))
-                else:
-                    _push(fwd, stage_of[v], (u, code + 1))
-                if watch:
-                    partners[u].append(v)
-                    codes[u].append(code)
-                    partners[v].append(u)
-                    codes[v].append(code + 1)
-            if not full:
-                continue
-            # a free slot waives only the absence requirement: held tuples
-            # are always preserved
+        if arity == 2 and full:
+            heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
             for u in range(n):
                 for v in range(n):
-                    if u == v or (u, v) in ra or (si, (u, v)) in free:
-                        continue
-                    checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
-                    if watch:
-                        partners[u].append(v)
-                        codes[u].append(code + 2)
-                        partners[v].append(u)
-                        codes[v].append(code + 3)
+                    # a free slot waives only the absence requirement: held
+                    # tuples are always preserved
+                    if u != v and (u, v) not in ra and (si, (u, v)) not in free:
+                        checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
+                        heads[u].append(v)
+                        tails[v].append(u)
+            if any(heads):
+                groups += [(4 * si + 2, heads), (4 * si + 3, tails)]
         elif arity > 2:
-            slots = itertools.product(range(n), repeat=arity) if full else ra
-            for t in slots:
+            for t in itertools.product(range(n), repeat=arity) if full else ra:
                 present = t in ra
                 if (present or (si, t) not in free) and t.count(t[0]) != arity:
                     _push(checks, max(map(stage_of.__getitem__, t)), (si, t, present))
@@ -269,15 +293,16 @@ def _source_plan(a: Structure, mode: HomMode):
         _push(collapse_fwd, sx, y)
 
     stages = (fwd, checks2, checks, collapse_check, collapse_fwd)
-    watches = (partners, codes, {c for cs in codes for c in cs}) if watch else None
+    # on sources of 4 elements or fewer the arc pass costs more than it prunes
+    watches = groups if n > 4 else None
     if 0 < n <= _NEST_LIMIT:
-        folded = None if watch else node
+        folded = None if watches is not None else node
         injective = mode.tag == "injective"
         shape = _shape_key(n, order, folded, injective, stages)
         search = _COMPILED.get(shape)
         if search is None:
             search = _COMPILED[shape] = _compile_search(_emit_search(n, order, folded, injective, stages))
-        plan = (search, node if watch else None, watches)
+        plan = (search, None if watches is None else node, watches)
     else:
         plan = (None, node, watches, order, *stages)
     a._cache[key] = plan
@@ -401,12 +426,16 @@ def _initial_domains(n, plan, tables, avoid):
 
     No domain holds the target element `avoid`, if one is given.
 
-    AC-3 keeps a queue of elements whose domain shrank; popping x revises
-    every watched partner y to D(y) &= OR of rows[code][v] over v in D(x).
-    The greatest arc-consistent domains are unique, so the queue order does
-    not matter.  When every domain is at least as large as the target's
-    `least` size for every watched code, no revision can prune, and the
-    node-consistent domains are returned as they are.
+    AC-3 keeps a queue of elements whose domain shrank.  Popping x revises
+    x's partners one group at a time, a group being lists[x] for one
+    (code, lists) of the plan's watches: every partner y gets D(y) &= the
+    support, the OR of rows[code][v] over v in D(x), memoised by (D(x),
+    code).  A group is skipped when its support equals the one last applied
+    from (x, code): domains only shrink, so every partner already lies
+    inside it.  The greatest arc-consistent domains are unique, so the
+    queue order does not matter.  When every domain is at least as large
+    as the target's `least` size for every watched code, no revision can
+    prune, and the node-consistent domains are returned as they are.
     """
     _, rows, self_masks, full_mask, least = tables
     if avoid is not None:
@@ -420,41 +449,44 @@ def _initial_domains(n, plan, tables, avoid):
         if d == 0:
             return None
         doms.append(d)
-    if watches is None:
-        return doms
-    partners, codes, watched = watches
-    if min(map(int.bit_count, doms)) >= max([least[c] for c in watched], default=0):
+    if watches is None or min(map(int.bit_count, doms)) >= max([least[c] for c, _ in watches], default=0):
         return doms
 
     ncodes = len(rows)
     support = {}  # D(x) * ncodes + code -> OR of the code's rows over D(x)
-    queue = [x for x in range(n) if partners[x]]
+    applied = [-1] * (n * ncodes)  # x * ncodes + code -> the support last applied to that group
+    queue = list(range(n))
     queued = [True] * n
     while queue:
         x = queue.pop()
         queued[x] = False
-        dx = doms[x]
-        base = dx * ncodes
-        for y, code in zip(partners[x], codes[x]):
+        base, at = doms[x] * ncodes, x * ncodes
+        for code, lists in watches:
+            ys = lists[x]
+            if not ys:
+                continue
             sup = support.get(base + code)
             if sup is None:
                 sup = 0
                 row = rows[code]
-                rest = dx
+                rest = doms[x]
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
                     sup |= row[bit.bit_length() - 1]
                 support[base + code] = sup
-            dy = doms[y]
-            nd = dy & sup
-            if nd != dy:
-                if nd == 0:
-                    return None
-                doms[y] = nd
-                if not queued[y]:
-                    queued[y] = True
-                    queue.append(y)
+            if applied[at + code] != sup:  # else every partner already lies inside sup
+                applied[at + code] = sup
+                for y in ys:
+                    dy = doms[y]
+                    nd = dy & sup
+                    if nd != dy:
+                        if nd == 0:
+                            return None
+                        doms[y] = nd
+                        if not queued[y]:
+                            queued[y] = True
+                            queue.append(y)
     return doms
 
 

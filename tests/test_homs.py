@@ -49,6 +49,7 @@ from util import (
     dpath,
     loop_vertex,
     mixed_structures,
+    naive_arc_domains,
     naive_core_of,
     naive_core_size,
     naive_homs,
@@ -202,11 +203,11 @@ def test_full_mode_free_slots_match_naive(instance):
 
 
 @st.composite
-def arc_pass_instances(draw, min_n=5):
-    """A source of min_n to 6 elements (5 or more is large enough for the arc
-    pass), a 2- or 3-element target, and a mode with random noncollapse pairs
-    and, in full mode, free slots."""
-    a = draw(mixed_structures(max_n=6, max_tuples=5, min_n=min_n))
+def arc_pass_instances(draw, min_n=5, max_n=6):
+    """A source of min_n to max_n elements (5 or more is large enough for the
+    arc pass), a 2- or 3-element target, and a mode with random noncollapse
+    pairs and, in full mode, free slots."""
+    a = draw(mixed_structures(max_n=max_n, max_tuples=5, min_n=min_n))
     b = draw(mixed_structures(max_n=3, max_tuples=9, min_n=2))
     tag = draw(st.sampled_from(["plain", "injective", "full"]))
     pairs = st.tuples(st.integers(0, a.n - 1), st.integers(0, a.n - 1)).filter(lambda p: p[0] != p[1])
@@ -383,16 +384,21 @@ def test_emitted_code_holds_only_plan_integers(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(arc_pass_instances())
+@given(arc_pass_instances(max_n=20))
 def test_skipped_arc_pass_keeps_the_domains(instance):
     # a target whose rows leave no value of a large domain unsupported skips
-    # the arc pass; the domains are those the full pass gives
+    # the arc pass; the domains are those the full pass gives, and both are
+    # the greatest node- and arc-consistent ones (sources on both sides of
+    # the compile limit)
     a, b, tag, noncollapse, free = instance
     plan = _source_plan(a, HomMode(tag, noncollapse, free))
     tables = _target_tables(b)
     never = tables[:4] + ([b.n + 1] * len(tables[4]),)
     for avoid in (None, 0):
-        assert _initial_domains(a.n, plan, tables, avoid) == _initial_domains(a.n, plan, never, avoid)
+        got = _initial_domains(a.n, plan, tables, avoid)
+        assert got == _initial_domains(a.n, plan, never, avoid)
+        want = naive_arc_domains(a, b, tag, free, avoid)
+        assert got == (None if want is None else [sum(1 << v for v in d) for d in want])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -425,6 +431,9 @@ def test_long_propagation_on_dag():
     longest = [0] * n  # arcs on the longest path ending at each vertex
     for u, v in sorted(arcs, key=lambda e: rank[e[0]]):
         longest[v] = max(longest[v], longest[u] + 1)
+    onward = [0] * n  # arcs on the longest path starting at each vertex
+    for u, v in sorted(arcs, key=lambda e: rank[e[1]], reverse=True):
+        onward[u] = max(onward[u], onward[v] + 1)
     top = max(longest)
     g = digraph(n, arcs)
     assert hom_exists(g, _transitive_tournament(top)) is None
@@ -432,6 +441,12 @@ def test_long_propagation_on_dag():
     assert h is not None
     ok, why = check_homomorphism(h)
     assert ok, why
+    # the arc pass alone pins each vertex to [longest into it, top - longest out of it]
+    plan = _source_plan(g, PLAIN)
+    k = top + 1
+    got = _initial_domains(n, plan, _target_tables(_transitive_tournament(k)), None)
+    assert got == [(1 << (k - onward[x])) - (1 << longest[x]) for x in range(n)]
+    assert _initial_domains(n, plan, _target_tables(_transitive_tournament(top)), None) is None
 
 
 @pytest.mark.parametrize(

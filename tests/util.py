@@ -95,6 +95,45 @@ def naive_homs(a, b, mode_tag="plain", noncollapse=(), free_tuples=()):
     return out
 
 
+def naive_arc_domains(a, b, mode_tag, free_tuples=(), avoid=None):
+    """The greatest node- and arc-consistent domains of a -> b as value sets, or
+    None when one is empty.
+
+    Node consistency: an element with a held all-equal tuple takes only values
+    whose all-equal tuple b holds; in full mode, one whose all-equal slot is
+    absent and not free takes only values whose slot b leaves absent.  Arc
+    consistency, by a fixpoint: for each held binary tuple (u, v), u != v, and
+    in full mode each absent pair that is not free, every value of either end
+    keeps a value of the other end's domain with which the pair is held in b
+    (left absent, for an absent pair).  No domain holds `avoid`.
+    """
+    full = mode_tag == "full"
+    doms = []
+    for x in range(a.n):
+        d = set(range(b.n)) - {avoid}
+        for (name, arity), ra, rb in zip(a.sig.symbols, a.rels, b.rels):
+            t = (x,) * arity
+            if t in ra or full and (name, t) not in free_tuples:
+                d = {v for v in d if ((v,) * arity in rb) == (t in ra)}
+        doms.append(d)
+    pairs = []  # (u, v, relation of b, whether the pair must be held)
+    for (name, arity), ra, rb in zip(a.sig.symbols, a.rels, b.rels):
+        if arity == 2:
+            for u, v in itertools.permutations(range(a.n), 2):
+                if (u, v) in ra or full and (name, (u, v)) not in free_tuples:
+                    pairs.append((u, v, rb, (u, v) in ra))
+    changed = True
+    while changed:
+        changed = False
+        for u, v, rb, held in pairs:
+            du = {p for p in doms[u] if any(((p, q) in rb) == held for q in doms[v])}
+            dv = {q for q in doms[v] if any(((p, q) in rb) == held for p in du)}
+            if (du, dv) != (doms[u], doms[v]):
+                doms[u], doms[v] = du, dv
+                changed = True
+    return None if any(not d for d in doms) else doms
+
+
 def degree_order(a):
     """Elements by the number of tuples containing them, most first, ties by index."""
     deg = [sum(x in t for r in a.rels for t in r) for x in range(a.n)]
