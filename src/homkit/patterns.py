@@ -4,18 +4,22 @@ A pattern family over a lifted signature fixes a matching mode; a base
 structure belongs to the language iff some partition lift of it (every
 r-tuple in exactly one lift relation) admits no pattern under that mode.
 Membership search assigns lift classes to r-tuples and excludes the
-assignment fragments induced by pattern occurrences ("nogoods").  Each
-family compiles its patterns' shadows, color maps and modes once, on first
-use, and patterns that share a shadow and a mode share one occurrence
-search.  The members of such a group are compacted once: a partial
-pattern written out as all its completions merges back into one shorter
-member (`_compact`).  Each compacted group is then emitted as Python, one
-walker function that turns every map of the shadow into the members'
-nogoods, compiled under the file name `<homkit walker>` and kept in one
-module-level dict keyed by the group's encoding, so families rebuilt from
-the same formula reuse it.  `solve_nogoods` decides the colouring; SNP
-evaluation uses the same walkers and solver for its proof bits, as
-forbidden lifts and MMSNP are one problem.
+assignment fragments induced by pattern occurrences.  Each family
+compiles its patterns' shadows, color maps and modes once, on first use,
+and patterns that share a shadow and a mode share one occurrence search.
+The members of such a group are compacted once: a partial pattern
+written out as all its completions merges back into one shorter member
+(`_compact`).  Each compacted group is then emitted as Python, two walker
+functions compiled under the file name `<homkit walker>` and kept in one
+module-level dict keyed by the group's encoding, so families rebuilt
+from the same formula reuse them.  On a space of at most `_MASK_LIMIT`
+assignments the mask walker ORs every occurrence's forbidden
+assignments into one integer, a bit per assignment, and the lowest clear
+bit is the lexicographically least avoiding colouring (`_avoiding`).  On
+larger spaces the nogood walker collects the occurrences as nogoods and
+`solve_nogoods` decides them.  SNP evaluation uses the same walkers and
+deciders for its proof bits, as forbidden lifts and MMSNP are one
+problem.
 
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
@@ -86,6 +90,17 @@ class PatternFamily:
     def colors(self):
         return self._colors
 
+    @functools.cached_property
+    def _layout(self) -> tuple:
+        """Where `_partition_witness` finds each relation of `sig`.
+
+        Per symbol: the color index of a lift symbol, or the number of
+        colors plus the base index of a base symbol.
+        """
+        colors = {name: ci for ci, name in enumerate(self._colors)}
+        base = itertools.count(len(colors))
+        return tuple(colors[name] if name in colors else next(base) for name, _ in self.sig.symbols)
+
     def pattern_mode(self, p: Lift) -> HomMode:
         return HomMode(self.mode_tag, p.noncollapse, p.free_tuples)
 
@@ -122,6 +137,15 @@ class PatternFamily:
 # formula whose group encodes the same.
 _WALKERS = {}
 
+# Spaces of at most this many assignments are decided on one bitmask (see
+# `_avoiding`); larger ones by nogoods and `solve_nogoods`.  Each mask
+# operation costs time in proportion to the space, so the solver overtakes
+# the masks past about 2^15 assignments on random colouring families.
+_MASK_LIMIT = 1 << 13
+
+# Literal masks by (variables, values); see `_literal_masks`.
+_LITERALS = {}
+
 
 def _group_programs(programs, sizes) -> tuple:
     """Merge occurrence programs that share their occurrences, and compile each group.
@@ -133,8 +157,9 @@ def _group_programs(programs, sizes) -> tuple:
     Programs with equal shadow, mode and absent slots have the same
     occurrences in every structure, so they form one group, whose members
     are their cell sets.  Each group comes back as (shadow, HomMode,
-    walker), in order of first appearance; `_walker` compacts the members
-    and compiles the walker, and `_walk_occurrences` runs it.
+    walkers), in order of first appearance; `_walker` compacts the members
+    and compiles the walkers, and `_walk_occurrences` and `_avoiding` run
+    them.
     """
     groups = {}
     for sh, mode, absent, cells in programs:
@@ -143,29 +168,50 @@ def _group_programs(programs, sizes) -> tuple:
                  for (sh, mode, absent), members in groups.items())
 
 
-def _walker(n, mode, absent, members, sizes):
-    """The compiled walker of one group, from `_WALKERS` when its encoding is known.
+class _Walkers:
+    """The two emitted walkers of one group (see `_emit_walker`).
 
-    The encoding holds everything the walker depends on, as plain integers
+    `nogoods(maps, rels, spaces, add)` is compiled with the group.
+    `masks(maps, rels, spaces)` is None until `compile_masks` builds it, on
+    the group's first call on a space of at most `_MASK_LIMIT` assignments,
+    so a family used only on large structures never compiles it.
+    """
+
+    __slots__ = ("nogoods", "masks", "_args")
+
+    def __init__(self, args):
+        self._args = args
+        self.nogoods = _compile_search(_emit_walker(*args), "<homkit walker>")
+        self.masks = None
+
+    def compile_masks(self):
+        self.masks = _compile_search(_emit_walker(*self._args, masks=True), "<homkit walker>")
+        return self.masks
+
+
+def _walker(n, mode, absent, members, sizes):
+    """The walkers of one group, from `_WALKERS` when its encoding is known.
+
+    The encoding holds everything the walkers depend on, as plain integers
     and tuples: the shadow size, whether the maps are injective, the
     noncollapse pairs, the absent slots, the space sizes and the members.
     A group is stored under its own encoding and under that of its
     compacted members, so families rebuilt from the same formula, and
-    groups that compact alike, share one function, and a known group is
+    groups that compact alike, share both walkers, and a known group is
     neither compacted nor emitted again.
     """
     injective = mode.tag == "injective"
     apart = frozenset() if injective else mode.noncollapse
     key = (n, injective, apart, absent, sizes, frozenset(members))
-    walk = _WALKERS.get(key)
-    if walk is None:
+    walkers = _WALKERS.get(key)
+    if walkers is None:
         kept = _compact(members, sizes)
         compact_key = key[:5] + (frozenset(kept),)
-        walk = _WALKERS.get(compact_key)
-        if walk is None:
-            walk = _compile_search(_emit_walker(n, absent, kept, injective, apart), "<homkit walker>")
-        _WALKERS[key] = _WALKERS[compact_key] = walk
-    return walk
+        walkers = _WALKERS.get(compact_key)
+        if walkers is None:
+            walkers = _Walkers((n, absent, kept, injective, apart))
+        _WALKERS[key] = _WALKERS[compact_key] = walkers
+    return walkers
 
 
 def _compact(members, sizes) -> list:
@@ -229,8 +275,9 @@ def _compact(members, sizes) -> list:
     return sorted(kept, key=lambda m: (len(m), sorted(m)))
 
 
-def _emit_walker(n, absent, members, injective, apart):
-    """The source text of the walker `walk(maps, rels, spaces, add)` of one group.
+def _emit_walker(n, absent, members, injective, apart, masks=False):
+    """The source text of one group's walker `walk(maps, rels, spaces, add)`,
+    or `walk(maps, rels, spaces)` with `masks`.
 
     For each map, unpacked into x0 .. x{n-1}, the walker skips it when an
     absent slot's image is a tuple of `rels`, then reads each variable a
@@ -243,6 +290,11 @@ def _emit_walker(n, absent, members, injective, apart):
     member without cells makes the walker return True at the first map
     that passes the absent slots.  Names are made of letters and integers
     only.
+
+    The mask variant reads each variable as its row of literal masks
+    instead (see `_literal_masks`), ORs the AND of each member's cells into
+    one integer `f` and returns it.  It needs no guards: two values of one
+    variable have disjoint masks.
     """
     xs = [f"x{i}" for i in range(n)]
 
@@ -265,18 +317,27 @@ def _emit_walker(n, absent, members, injective, apart):
             if (t, space) not in var:
                 var[t, space] = name = f"v{len(var)}"
                 body.append(f"  {name} = s{space}[{image(t)}]")
+    terms = []
     for m in members:
         if not m:
             body.append("  return True")
             break
         cells = sorted(m)
+        if masks:
+            terms.append(" & ".join(f"{var[t, space]}[{v}]" for t, space, v in cells))
+            continue
         guards = [f"{var[t, sp]} != {var[u, sq]}" for (t, sp, v), (u, sq, w) in itertools.combinations(cells, 2)
                   if sp == sq and t != u and v != w and may_meet(t, u)]
         add = f"add(frozenset({tuple_text([f'({var[t, space]}, {v})' for t, space, v in cells])}))"
         body.append(f"  if {' and '.join(guards)}: {add}" if guards else f"  {add}")
-    head = ["def walk(maps, rels, spaces, add):"]
+    if terms:
+        body.append(f"  f |= {' | '.join(terms)}")
+    head = ["def walk(maps, rels, spaces):" if masks else "def walk(maps, rels, spaces, add):"]
     head += [f" r{si} = rels[{si}]" for si in sorted({si for si, _ in absent})]
     head += [f" s{space} = spaces[{space}]" for space in sorted({space for _, space in var})]
+    if masks:
+        head.append(" f = 0")
+        body.append(" return f")
     return "\n".join(head + body) + "\n"
 
 
@@ -318,13 +379,11 @@ def _partition_witness(fam: PatternFamily, a: Structure, slots, coloring) -> Lif
     Unchecked: the caller passes every r-tuple of `a` exactly once, each
     with an index in range(len(fam.colors())).
     """
-    colors = fam.colors()
-    classes = [[] for _ in colors]
+    classes = [[] for _ in fam.colors()]
     for t, ci in zip(slots, coloring):
         classes[ci].append(t)
-    lifted = dict(zip(colors, map(frozenset, classes)))
-    base = iter(a.rels)  # a.sig is the base part of fam.sig, in its order
-    rels = tuple(lifted[name] if name in lifted else next(base) for name, _ in fam.sig.symbols)
+    pool = [*map(frozenset, classes), *a.rels]  # a.sig is the base part of fam.sig, in its order
+    rels = tuple(map(pool.__getitem__, fam._layout))
     return _trusted_partition_lift(fam.sig, a.n, rels, a.element_names, fam.lift_arity)
 
 
@@ -342,6 +401,8 @@ def solve_nogoods(nvars: int, k: int, nogoods):
 
     A nogood is a collection of (variable, value) literals, each variable at
     most once, that must not all hold; an empty nogood can never be avoided.
+    Membership and evaluation call it on spaces of more than `_MASK_LIMIT`
+    assignments only; smaller ones are decided on one bitmask.
     Forward checking: once all but one literal of a nogood hold, the last
     literal's value leaves its variable's domain (a bitmask over the
     values).  The next variable is an unassigned one with the smallest
@@ -428,30 +489,125 @@ def _walk_occurrences(programs, a: Structure, spaces):
     """The nogoods that occurrences of compiled programs in `a` impose, or None.
 
     A program, as `_group_programs` builds it, is (shadow, HomMode,
-    walker).  Every map `hom_maps` yields from the shadow into `a` is handed
-    to the walker, which skips the maps that hit an absent slot and adds
-    the nogood of each member, its cells read as literals over
-    `spaces[space]`, to one set.  A member that can never hold at a map
-    adds nothing there, and a member without cells makes every occurrence
-    unconditional, for which the walk returns None.  Otherwise the set of
-    distinct nogoods comes back in no particular order, which
+    walkers).  Every map `hom_maps` yields from the shadow into `a` is
+    handed to the nogood walker, which skips the maps that hit an absent
+    slot and adds the nogood of each member, its cells read as literals
+    over `spaces[space]`, to one set.  A member that can never hold at a
+    map adds nothing there, and a member without cells makes every
+    occurrence unconditional, for which the walk returns None.  Otherwise
+    the set of distinct nogoods comes back in no particular order, which
     `solve_nogoods` does not depend on.
     """
     rels = a.rels
     nogoods = set()
     add = nogoods.add
-    for sh, mode, walk in programs:
-        if walk(hom_maps(sh, a, mode), rels, spaces, add):
+    for sh, mode, walkers in programs:
+        if walkers.nogoods(hom_maps(sh, a, mode), rels, spaces, add):
             return None
     return nogoods
+
+
+def _index_spaces(a: Structure, arities) -> tuple:
+    """Per space, the variable index of each image, cached on `a`.
+
+    Space i has a variable per arities[i]-tuple of `a`, in
+    `itertools.product` order, the spaces numbered one after the other.
+    Keys are as the walkers read images: bare elements for arity 1.
+    """
+    key = ("index", arities)
+    spaces = a._cache.get(key)
+    if spaces is None:
+        spaces, first = [], 0
+        for r in arities:
+            tuples = itertools.product(range(a.n), repeat=r)
+            spaces.append({t[0] if r == 1 else t: first + i for i, t in enumerate(tuples)})
+            first += a.n ** r
+        spaces = a._cache[key] = tuple(spaces)
+    return spaces
+
+
+def _literal_masks(nvars: int, k: int) -> list:
+    """Per variable, per value: the assignments giving the variable that value.
+
+    Assignment i of the k^nvars gives the variables the base-k digits of
+    i, variable 0 the most significant, so increasing i is lexicographic
+    order.  A set of assignments is an integer with bit i for assignment i.
+    Cached by (nvars, k).
+    """
+    rows = _LITERALS.get((nvars, k))
+    if rows is None:
+        size = k ** nvars
+        rows = []
+        for j in range(nvars):
+            block = k ** (nvars - 1 - j)  # a digit holds for `block` assignments in a row
+            repeat = ((1 << size) - 1) // ((1 << k * block) - 1)  # one bit per run of k blocks
+            rows.append(tuple((((1 << block) - 1) << value * block) * repeat for value in range(k)))
+        _LITERALS[nvars, k] = rows
+    return rows
+
+
+def _avoiding(programs, a: Structure, arities, k: int) -> int:
+    """The assignments no occurrence of `programs` in `a` forbids, one bit each.
+
+    Spaces are as for `_index_spaces`, every variable with k values, and
+    assignments as for `_literal_masks`.  Each image maps to its variable's
+    row of literal masks (cached on `a`), the mask walkers OR each
+    member's forbidden assignments into one integer, and the answer is its
+    complement within the k^nvars assignments: 0 when a member without
+    cells occurs.
+    """
+    key = ("masks", arities, k)
+    hit = a._cache.get(key)
+    if hit is None:
+        rows = _literal_masks(sum(a.n ** r for r in arities), k)
+        spaces = tuple({image: rows[i] for image, i in space.items()} for space in _index_spaces(a, arities))
+        hit = a._cache[key] = spaces, (1 << k ** len(rows)) - 1
+    spaces, full = hit
+    rels = a.rels
+    forbidden = 0
+    for sh, mode, walkers in programs:
+        f = (walkers.masks or walkers.compile_masks())(hom_maps(sh, a, mode), rels, spaces)
+        if f is True:
+            return 0
+        forbidden |= f
+    return full & ~forbidden
+
+
+def _least_coloring(programs, a: Structure, arities, k: int):
+    """The lexicographically least assignment `_avoiding` leaves, as a list, or None."""
+    free = _avoiding(programs, a, arities, k)
+    if not free:
+        return None
+    i = (free & -free).bit_length() - 1
+    coloring = [0] * sum(a.n ** r for r in arities)
+    j = len(coloring)
+    while i:
+        j -= 1
+        i, coloring[j] = divmod(i, k)
+    return coloring
+
+
+def _nogood_coloring(programs, a: Structure, arities, k: int):
+    """An assignment avoiding the nogoods of `programs` in `a`, by `solve_nogoods`, or None.
+
+    Spaces are as for `_index_spaces`, every variable with k values.
+    """
+    nogoods = _walk_occurrences(programs, a, _index_spaces(a, arities))
+    if nogoods is None:
+        return None
+    return solve_nogoods(sum(a.n ** r for r in arities), k, nogoods)
 
 
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
     """A partition lift of `a` avoiding every pattern, or None.
 
     Search space: one variable per r-tuple of `a`, one value per lift
-    symbol; every mode-respecting occurrence of a pattern shadow
-    contributes a nogood, and `solve_nogoods` looks for a colouring
+    symbol; every mode-respecting occurrence of a pattern shadow forbids
+    the colors of its colored r-tuples' images.  A space of at most
+    `_MASK_LIMIT` colorings is decided on one bitmask by `_avoiding`, and
+    the witness is then the lexicographically least avoiding coloring, the
+    r-tuples in `itertools.product` order.  Larger spaces collect the
+    occurrences as nogoods, and `solve_nogoods` looks for a coloring
     avoiding them all.
     """
     if a.sig != fam.base_sig:
@@ -459,21 +615,15 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     colors = fam.colors()
     if not colors:
         raise ValueError("family signature has no lift symbols")
-    r = fam.lift_arity
-    slots = list(itertools.product(range(a.n), repeat=r))
-    if len(slots) * math.log2(len(colors)) > bits_cap:
-        raise GuardExceededError(
-            f"{len(colors)}^{len(slots)} colorings exceed the membership cap"
-        )
-    # keyed as the walkers read images: bare elements when r = 1
-    slot_index = {t if r > 1 else t[0]: i for i, t in enumerate(slots)}
-    nogoods = _walk_occurrences(fam._compiled, a, (slot_index,))
-    if nogoods is None:
-        return None
-    coloring = solve_nogoods(len(slots), len(colors), nogoods)
+    r, k = fam.lift_arity, len(colors)
+    nvars = a.n ** r
+    if nvars * math.log2(k) > bits_cap:
+        raise GuardExceededError(f"{k}^{nvars} colorings exceed the membership cap")
+    decide = _least_coloring if k ** nvars <= _MASK_LIMIT else _nogood_coloring
+    coloring = decide(fam._compiled, a, (r,), k)
     if coloring is None:
         return None
-    return _partition_witness(fam, a, slots, coloring)
+    return _partition_witness(fam, a, itertools.product(range(a.n), repeat=r), coloring)
 
 
 def union_families(f1: PatternFamily, f2: PatternFamily) -> PatternFamily:

@@ -7,9 +7,10 @@ are scoped per clause.  Model checking is exact: each clause compiles
 once into a shadow, and `eval_snp` walks the clause shadows with
 `hom_maps` through the membership walker, one search per shadow shared by
 clauses with the same inequalities and negated input atoms, each
-occurrence forbidding its proof part as a nogood over the proof bits,
-which `solve_nogoods` decides with k = 2.  The translations read clauses
-as evaluation does.
+occurrence forbidding its proof part over the proof bits, with k = 2:
+on one bitmask for at most `patterns._MASK_LIMIT` proof choices, as
+nogoods for `solve_nogoods` beyond.  The translations read clauses as
+evaluation does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
 from .homs import _set_partitions
-from .patterns import PatternFamily, _dedup_lifts, _group_programs, _walk_occurrences, solve_nogoods
+from .patterns import _MASK_LIMIT, PatternFamily, _avoiding, _dedup_lifts, _group_programs, _nogood_coloring
 from .structures import HomMode, Lift, Signature, Structure
 from .textio import TokenStream, tokenize
 
@@ -230,22 +231,22 @@ def _read_clause(c: Clause):
 
 
 def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
-    """Does some choice of proof relations satisfy every clause on `a`?"""
+    """Does some choice of proof relations satisfy every clause on `a`?
+
+    One proof bit per tuple of each proof symbol, the symbols one after the
+    other.  With at most `patterns._MASK_LIMIT` choices the answer is
+    whether the clause occurrences forbid them all, read on one bitmask
+    (`patterns._avoiding`); otherwise `solve_nogoods` decides the nogoods.
+    """
     if a.sig != phi.input_sig:
         raise SignatureMismatchError("structure signature differs from the formula's input part")
-    n = a.n
-    bits = sum(n**par for _, par in phi.proof)
+    arities = tuple(par for _, par in phi.proof)
+    bits = sum(a.n ** par for par in arities)
     if bits > bits_cap:
         raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
-    spaces = []
-    first = 0
-    for _, par in phi.proof:
-        # keyed as the walkers read images: bare elements for arity 1
-        tuples = itertools.product(range(n), repeat=par)
-        spaces.append({t[0] if par == 1 else t: first + i for i, t in enumerate(tuples)})
-        first += n**par
-    nogoods = _walk_occurrences(phi._compiled, a, spaces)
-    return nogoods is not None and solve_nogoods(bits, 2, nogoods) is not None
+    if 1 << bits <= _MASK_LIMIT:
+        return _avoiding(phi._compiled, a, arities, 2) != 0
+    return _nogood_coloring(phi._compiled, a, arities, 2) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -245,17 +245,26 @@ class Lift:
         return f"Lift({self.struct!r}, r={self.lift_arity}, {self.cover_mode})"
 
 
+# Structure's slot setters, in `__slots__` order, for `_trusted_structure`.
+_SET_SIG, _SET_N, _SET_RELS, _SET_NAMES, _SET_HASH, _SET_CACHE = (
+    getattr(Structure, name).__set__ for name in Structure.__slots__)
+
+
 def _trusted_structure(sig: Signature, n: int, rels: tuple, element_names=None) -> Structure:
     """A Structure built without the checks of `Structure.__init__`.
 
     `rels` holds one frozenset of tuples per symbol of `sig`, in its order.
     Only for callers whose construction guarantees what those checks test:
-    every tuple has its symbol's arity and lies over 0..n-1.
+    every tuple has its symbol's arity and lies over 0..n-1.  The slots are
+    set through their descriptors, past the immutable `__setattr__`.
     """
     s = object.__new__(Structure)
-    for name, value in (("sig", sig), ("n", n), ("rels", rels), ("element_names", element_names),
-                        ("_hash", None), ("_cache", {})):
-        object.__setattr__(s, name, value)
+    _SET_SIG(s, sig)
+    _SET_N(s, n)
+    _SET_RELS(s, rels)
+    _SET_NAMES(s, element_names)
+    _SET_HASH(s, None)
+    _SET_CACHE(s, {})
     return s
 
 
@@ -274,12 +283,12 @@ def _trusted_partition_lift(sig: Signature, n: int, rels: tuple, element_names, 
     """A partition lift built without the checks of `Structure` and `Lift`.
 
     `rels` is as for `_trusted_structure`, and every r-tuple must lie in
-    exactly one lift relation.
+    exactly one lift relation.  Equal, with equal hash, to the checked
+    `Lift(Structure(...), r, "partition")`.
     """
     lift = object.__new__(Lift)
-    for name, value in (("struct", _trusted_structure(sig, n, rels, element_names)), ("lift_arity", r),
-                        ("cover_mode", "partition"), ("noncollapse", frozenset()), ("free_tuples", frozenset())):
-        object.__setattr__(lift, name, value)
+    lift.__dict__.update(struct=_trusted_structure(sig, n, rels, element_names), lift_arity=r,
+                         cover_mode="partition", noncollapse=frozenset(), free_tuples=frozenset())
     return lift
 
 

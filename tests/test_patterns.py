@@ -27,7 +27,7 @@ from homkit.patterns import (
     union_families,
     verify_shadow_duality,
 )
-from homkit.snp import parse_snp
+from homkit.snp import eval_snp, parse_snp
 from homkit.structures import (
     Homomorphism,
     Lift,
@@ -48,12 +48,16 @@ from util import (
     fully_colored,
     monadic_families,
     naive_family_nogoods,
+    naive_formula_nogoods,
     naive_homs,
     naive_injective_expansion,
+    naive_least_coloring,
     naive_normalize,
     partial_families,
     same_constraint,
+    scycle,
     shadow_sharing_families,
+    shadow_sharing_formulas,
     ue_structures,
 )
 
@@ -226,6 +230,92 @@ class TestGroupedWalk:
             assert members > 0
 
 
+@settings(max_examples=300, deadline=None)
+@given(subject=st.one_of(shadow_sharing_families(), partial_families(), shadow_sharing_formulas()),
+       a=ue_structures())
+def test_mask_and_nogood_paths_agree(subject, a):
+    # the two private deciders on one input, whatever the size of its space
+    if isinstance(subject, PatternFamily):
+        arities, k = (subject.lift_arity,), len(subject.colors())
+        naive = naive_family_nogoods(subject, a)
+    else:
+        arities, k = tuple(arity for _, arity in subject.proof), 2
+        naive = naive_formula_nogoods(subject, a)
+    masks = patterns._least_coloring(subject._compiled, a, arities, k)
+    nogoods = patterns._nogood_coloring(subject._compiled, a, arities, k)
+    assert (masks is None) == (nogoods is None)
+    assert masks == naive_least_coloring(sum(a.n**r for r in arities), k, naive)
+    if masks is not None and isinstance(subject, PatternFamily):
+        slots = itertools.product(range(a.n), repeat=arities[0])
+        w = patterns._partition_witness(subject, a, slots, masks)
+        assert all(lift_occurrence(subject, p, w) is None for p in subject.patterns)
+
+
+class TestMaskBoundary:
+    """Which decider runs, at the edges of the mask path's space."""
+
+    @staticmethod
+    def spy_on_solver(monkeypatch):
+        calls = []
+        solve = patterns.solve_nogoods
+        monkeypatch.setattr(patterns, "solve_nogoods", lambda *args: calls.append(args[:2]) or solve(*args))
+        return calls
+
+    def test_one_color_on_twenty_vertices(self, monkeypatch):
+        calls = self.spy_on_solver(monkeypatch)
+        fam = triangle_free_family()
+        w = fp_membership(dcycle(20), fam)  # 1^20 = 1 coloring
+        assert w is not None and w.struct.rel("C") == {(x,) for x in range(20)}
+        assert fp_membership(digraph(20, [*dcycle(20).rel("E"), (2, 0)]), fam) is None
+        assert calls == []
+
+    def test_empty_structure(self):
+        fam = three_col_family()
+        empty = Structure(fam.base_sig, 0)
+        w = fp_membership(empty, fam)
+        assert w is not None and w.n == 0
+        for decide in (patterns._least_coloring, patterns._nogood_coloring):
+            assert decide(fam._compiled, empty, (1,), 3) == []
+        # a 0-element pattern occurs everywhere
+        nothing = PatternFamily(CSIG, (Lift(Structure(CSIG, 0), 1, "none"),), "plain", 1)
+        for a in (empty, clique(2)):
+            assert fp_membership(a, nothing) is None
+            for decide in (patterns._least_coloring, patterns._nogood_coloring):
+                assert decide(nothing._compiled, a, (1,), 3) is None
+
+    def test_member_without_cells(self):
+        # an uncolored point: every occurrence forbids every coloring
+        fam = PatternFamily(CSIG, (Lift(Structure(CSIG, 1), 1, "none"),), "plain", 1)
+        assert fp_membership(digraph(14), fam) is None  # 3^14 colorings
+        for decide in (patterns._least_coloring, patterns._nogood_coloring):
+            assert decide(fam._compiled, clique(2), (1,), 3) is None
+        assert fp_membership(Structure(fam.base_sig, 0), fam) is not None
+
+    def test_spaces_at_and_just_above_the_limit(self, monkeypatch):
+        n = patterns._MASK_LIMIT.bit_length() - 1
+        assert 2**n == patterns._MASK_LIMIT
+        calls = self.spy_on_solver(monkeypatch)
+        fam = two_col_family()
+        phi = parse_snp("""snp two { input { E/2 } proof { P/1 }
+          clause NOT( E(x,y) & P(x) & P(y) ) ; clause NOT( E(x,y) & !P(x) & !P(y) ) ; }""")
+        for size, solved in ((n, []), (n + 1, [(n + 1, 2)])):
+            for length, member in ((size, size % 2 == 0), (size - 1, size % 2 == 1)):
+                a = digraph(size, scycle(length).rel("E"))  # 2^size colorings
+                calls.clear()
+                assert (fp_membership(a, fam) is not None) == member
+                assert eval_snp(phi, a) == member
+                assert calls == solved * 2
+
+    def test_ramsey_family_takes_both_paths(self, monkeypatch):
+        calls = self.spy_on_solver(monkeypatch)
+        fam = ramsey_family()
+        assert fp_membership(clique(3), fam) is not None  # 2^9 colorings
+        assert calls == []
+        for n in (4, 5, 6):  # 2^16 colorings and more
+            fp_membership(clique(n), fam)
+        assert calls == [(16, 2), (25, 2), (36, 2)]
+
+
 RSIG = make_signature([("E", 2), ("R", 2), ("B", 2)], lift=["R", "B"])
 
 
@@ -283,20 +373,38 @@ class TestCompactedWalk:
             assert (fp_membership(a, fam) is None) == (w is None)
 
     def test_equal_groups_of_two_families_share_one_walker(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_WALKERS", {})
         sig = make_signature([("Arc", 2), ("Red", 1), ("Green", 1), ("Blue", 1)], lift=["Red", "Green", "Blue"])
         pats = tuple(Lift(Structure(sig, 2, {"Arc": [(0, 1)], c: [(0,), (1,)]}), 1, "none") for c in ("Red", "Green", "Blue"))
         other = PatternFamily(sig, pats, "plain", 1)
-        (_, _, walk), = three_col_family()._compiled
-        # the group is looked up before any text is made
-        monkeypatch.setattr(patterns, "_emit_walker", lambda *args: pytest.fail("emitted a known group again"))
-        (_, _, other_walk), = other._compiled
-        assert other_walk is walk
-        assert walk.__code__.co_filename == "<homkit walker>"
+        fam = three_col_family()
+        (_, _, walkers), = fam._compiled
+        assert walkers.masks is None
+        assert fp_membership(clique(3), fam) is not None  # 27 colorings: the mask walker
+        masks = walkers.masks
+        assert masks is not None
+        # the group and both of its walkers are looked up before any text is made
+        monkeypatch.setattr(patterns, "_emit_walker", lambda *args, **kwargs: pytest.fail("emitted a known group again"))
+        (_, _, other_walkers), = other._compiled
+        assert other_walkers is walkers and other_walkers.masks is masks
+        assert walkers.nogoods.__code__.co_filename == masks.__code__.co_filename == "<homkit walker>"
 
         def arc_clique(n):
             return Structure(other.base_sig, n, {"Arc": [(x, y) for x in range(n) for y in range(n) if x != y]})
 
-        assert fp_membership(arc_clique(4), other) is None and fp_membership(arc_clique(3), other) is not None
+        for n in (4, 9):  # 3^4 colorings on the mask walker, 3^9 on the nogood walker
+            assert fp_membership(arc_clique(n), other) is None
+        assert fp_membership(arc_clique(3), other) is not None
+
+    def test_mask_walker_compiles_on_first_small_space(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_WALKERS", {})
+        fam = three_col_family()
+        (_, _, walkers), = fam._compiled
+        big = digraph(9, [(x, (x + 1) % 9) for x in range(9)])  # 3^9 colorings
+        assert fp_membership(big, fam) is not None
+        assert walkers.masks is None
+        assert fp_membership(dcycle(3), fam) is not None
+        assert walkers.masks is not None
 
     def test_emitted_text_names_no_symbol_color_or_proof(self, monkeypatch):
         texts = []
@@ -306,20 +414,25 @@ class TestCompactedWalk:
         sig = make_signature([("Arc", 2), ("Mark", 1), ("Red", 2), ("Blue", 2)], lift=["Red", "Blue"])
         rels = {"Arc": [(0, 1)], "Mark": [(1,)], "Red": [(0, 1), (1, 0), (0, 0)], "Blue": [(1, 1)]}
         pattern = Lift(Structure(sig, 2, rels), 2, "partition", frozenset({(0, 1)}))
-        PatternFamily(sig, (pattern,), "plain", 2)._compiled
+        fam = PatternFamily(sig, (pattern,), "plain", 2)
+        fam._compiled
         phi = parse_snp("""snp named { input { Arc/2 Mark/1 } proof { Proofy/1 Witness/2 }
           clause NOT( Arc(x,y) & !Mark(y) & Proofy(x) & !Witness(y,x) & x != y ) ;
           clause NOT( Arc(x,y) & Mark(x) & Proofy(x) & Witness(x,x) ) ; }""")
         phi._compiled
-        assert len(texts) == 3
+        assert len(texts) == 3  # the nogood walkers, compiled with their groups
+        # the mask walkers, compiled on their first small space
+        assert fp_membership(Structure(fam.base_sig, 1), fam) is not None
+        assert eval_snp(phi, Structure(phi.input_sig, 1))
+        assert len(texts) == 6
         names = {"Arc", "Mark", "Red", "Blue", "Proofy", "Witness", "named", "x", "y"}
-        fixed = {"walk", "maps", "rels", "spaces", "add", "frozenset"}
-        for text in texts:
+        fixed = [{"walk", "maps", "rels", "spaces", "add", "frozenset"}] * 3 + [{"walk", "maps", "rels", "spaces", "f"}] * 3
+        for text, allowed in zip(texts, fixed):
             for tok in tokenize.generate_tokens(io.StringIO(text).readline):
                 assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok
                 assert tok.string not in names, tok
                 if tok.type == tokenize.NAME:
-                    assert keyword.iskeyword(tok.string) or tok.string in fixed or re.fullmatch(r"[rsvx]\d+", tok.string), tok
+                    assert keyword.iskeyword(tok.string) or tok.string in allowed or re.fullmatch(r"[rsvx]\d+", tok.string), tok
 
 
 class TestMakePartitionLift:

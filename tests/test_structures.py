@@ -282,6 +282,29 @@ def test_derived_structures_pass_the_checks(a, b, rng):
         assert s._cache == {} and s.element_names is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 3), st.data())
+def test_trusted_constructors_build_what_the_checked_ones_build(r, n, data):
+    sig = make_signature([("E", 2), ("A", r), ("B", r)], lift=["A", "B"])
+    elem = st.integers(0, n - 1)
+    arcs = frozenset(data.draw(st.lists(st.tuples(elem, elem), max_size=4))) if n else frozenset()
+    lifted = {"A": set(), "B": set()}
+    for t in itertools.product(range(n), repeat=r):
+        lifted[data.draw(st.sampled_from("AB"))].add(t)
+    rels = (arcs, frozenset(lifted["A"]), frozenset(lifted["B"]))
+    names = data.draw(st.sampled_from([None, tuple(f"e{x}" for x in range(n)) or None]))
+    checked = Structure(sig, n, dict(zip(sig.names, rels)), names)
+    s = structures._trusted_structure(sig, n, rels, names)
+    assert s == checked and hash(s) == hash(checked) and repr(s) == repr(checked)
+    assert s.element_names == checked.element_names and s._cache == {}
+    with pytest.raises(AttributeError):
+        s.n = n + 1
+    lift = structures._trusted_partition_lift(sig, n, rels, names, r)
+    want = Lift(checked, r, "partition")
+    assert lift == want and hash(lift) == hash(want) and repr(lift) == repr(want)
+    assert vars(lift) == vars(want)
+
+
 class TestSignatureLookup:
     def test_index_and_arity(self):
         sig = make_signature([("U", 1), ("E", 2), ("T", 3)])

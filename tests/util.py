@@ -475,6 +475,17 @@ def naive_solutions(nvars, k, nogoods):
     return out
 
 
+def naive_least_coloring(nvars, k, nogoods):
+    """The first assignment in `itertools.product(range(k), repeat=nvars)` order
+    that avoids every nogood, as a list, or None; None excludes everything."""
+    if nogoods is None:
+        return None
+    for values in itertools.product(range(k), repeat=nvars):
+        if all(any(values[v] != c for v, c in g) for g in nogoods):
+            return list(values)
+    return None
+
+
 def same_constraint(nvars, k, walked, naive):
     """Whether compacted nogoods `walked` say what `naive` says; None is the empty nogood.
 
