@@ -101,9 +101,11 @@ def theta(b: Structure, basis: BasisSignature) -> Structure:
     """Same universe; every beta-tuple replays its block's base tuples."""
     rels = {name: set() for name, _ in basis.base.symbols}
     for i, blk in enumerate(basis.blocks):
+        replays = [(rels[blk.sig.names[si]].add, tp) for si, tp in blk.all_tuples()]
         for t in b.rel(basis.block_symbol(i)):
-            for si, tp in blk.all_tuples():
-                rels[blk.sig.names[si]].add(tuple(t[x] for x in tp))
+            at = t.__getitem__
+            for add, tp in replays:
+                add(tuple(map(at, tp)))
     return Structure(basis.base, b.n, rels, b.element_names)
 
 

@@ -358,7 +358,7 @@ def make_partition_lift(fam: PatternFamily, a: Structure, coloring) -> Lift:
 
     `coloring` maps every r-tuple of `a` to an index into `fam.colors()`.
     """
-    if a.sig != fam.base_sig:
+    if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
     r, k = fam.lift_arity, len(fam.colors())
     elems = range(a.n)
@@ -610,7 +610,7 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     occurrences as nogoods, and `solve_nogoods` looks for a coloring
     avoiding them all.
     """
-    if a.sig != fam.base_sig:
+    if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
     colors = fam.colors()
     if not colors:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
 from .homs import _set_partitions
 from .patterns import _MASK_LIMIT, PatternFamily, _avoiding, _dedup_lifts, _group_programs, _nogood_coloring
-from .structures import HomMode, Lift, Signature, Structure
+from .structures import HomMode, Lift, Signature, Structure, _interned
 from .textio import TokenStream, tokenize
 
 PRIMITIVIZE_CAP = 1 << 14
@@ -124,7 +124,7 @@ def parse_snp(text: str) -> SNPFormula:
             decls[block].append((sym, int(ts.expect_kind("int").text)))
         ts.expect("}")
     input_syms, proof = decls["input"], tuple(decls["proof"])
-    sig = Signature(tuple(input_syms))
+    sig = _interned(tuple(input_syms))
     pnames = {n for n, _ in proof}
     arities = dict(input_syms) | dict(proof)
     if len(arities) != len(input_syms) + len(proof):
@@ -238,7 +238,7 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     whether the clause occurrences forbid them all, read on one bitmask
     (`patterns._avoiding`); otherwise `solve_nogoods` decides the nogoods.
     """
-    if a.sig != phi.input_sig:
+    if a.sig is not phi.input_sig and a.sig != phi.input_sig:
         raise SignatureMismatchError("structure signature differs from the formula's input part")
     arities = tuple(par for _, par in phi.proof)
     bits = sum(a.n ** par for par in arities)
@@ -385,7 +385,7 @@ def _subset_symbols(phi: SNPFormula):
 def _lifted_signature(phi: SNPFormula, r: int):
     subs = _subset_symbols(phi)
     symbols = tuple(phi.input_sig.symbols) + tuple((s, r) for s in subs)
-    return Signature(symbols, frozenset(subs)), subs
+    return _interned(symbols, frozenset(subs)), subs
 
 
 def _clause_pattern(phi, c, sig, subs, r, full_mode=False):

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidStructureError, SignatureMismatchError
 
@@ -36,7 +39,7 @@ class Signature:
         if unknown:
             raise InvalidStructureError(f"lift marker on undeclared symbols: {sorted(unknown)}")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.symbols)
 
@@ -59,11 +62,27 @@ class Signature:
 
     def base(self) -> "Signature":
         """The signature with the lift part removed."""
-        return Signature(self.base_symbols())
+        return _interned(self.base_symbols())
+
+
+# Every signature homkit builds itself, by value, while it is in use: equal
+# signatures from `make_signature`, `Signature.base`, the parsers and the SNP
+# translations are one object, so identity tests between them answer before
+# a field comparison runs.
+_SIGNATURES = weakref.WeakValueDictionary()
+
+
+def _interned(symbols, lift_names=frozenset()) -> Signature:
+    """The shared Signature with these fields."""
+    key = (symbols, lift_names)
+    sig = _SIGNATURES.get(key)
+    if sig is None:
+        sig = _SIGNATURES[key] = Signature(symbols, lift_names)
+    return sig
 
 
 def make_signature(pairs, lift=()) -> Signature:
-    return Signature(tuple((str(n), int(a)) for n, a in pairs), frozenset(lift))
+    return _interned(tuple((str(n), int(a)) for n, a in pairs), frozenset(lift))
 
 
 class Structure:
@@ -427,39 +446,94 @@ def relabel(a: Structure, perm) -> Structure:
 # and only where a cell has two or more elements; the search individualises
 # each element of the first non-singleton cell in turn and refines again
 # until the colouring is discrete.  Every discrete colouring is a leaf
-# labelling, and the least leaf encoding is the key.  Two leaves with equal
-# encodings give an automorphism, which prunes children in one orbit and
-# abandons subtrees equivalent to explored ones.
+# labelling, and the least leaf encoding is the key.  Automorphisms prune:
+# children in one orbit, a child that swaps with its frame's first child, a
+# child whose colouring maps cell by cell onto the first path's, and
+# subtrees below a leaf equivalent to an explored one.  Each prunes only
+# subtrees that an automorphism maps onto subtrees explored before them, so
+# the key and the leaf giving it are those of the unpruned search.
 # ---------------------------------------------------------------------------
 
-def _incidence(a: Structure):
-    """Per element: the (symbol index, position, tuple) triples it occurs in."""
-    incident = [[] for _ in range(a.n)]
-    for si, t in a.all_tuples():
-        for pos, x in enumerate(t):
-            incident[x].append((si, pos, t))
-    return incident
+class _Incidence(NamedTuple):
+    """The incidences of a structure's elements, read as integers.
+
+    An incidence of x at position pos of a tuple of symbol si is the offset
+    (si * w + pos) * n**w, w the largest arity, plus the tuple's colour
+    code: its colours as digits base n.  So integers order incidences as
+    the triples (si, pos, colours of the tuple) do.  `columns` holds, per
+    arity, the columns of the tuples of that arity; a tuple's index into
+    the codes that `_tuple_codes` lists is its place in that order.
+    """
+
+    struct: Structure  # what the incidences were read from
+    columns: list  # per arity: one list of elements per position
+    offsets: list  # per element: the offset of each incidence
+    owners: list  # per element: the tuple index of each incidence
 
 
-def _refine_colors(incident, colors):
+def _incidence(a: Structure) -> _Incidence:
+    """The `_Incidence` of `a`, read once per labelling."""
+    n, rels = a.n, a.rels
+    width = max((arity for _, arity in a.sig.symbols), default=1)
+    span = n ** width
+    offsets = [[] for _ in range(n)]
+    owners = [[] for _ in range(n)]
+    columns = []
+    index = 0
+    for k in sorted({arity for _, arity in a.sig.symbols}):
+        group = [[] for _ in range(k)]
+        for si, (_, arity) in enumerate(a.sig.symbols):
+            if arity != k:
+                continue
+            for t in rels[si]:
+                for pos, x in enumerate(t):
+                    group[pos].append(x)
+                    offsets[x].append((si * width + pos) * span)
+                    owners[x].append(index)
+                index += 1
+        if group[0]:
+            columns.append(group)
+    return _Incidence(a, columns, offsets, owners)
+
+
+def _tuple_codes(columns, ranks, n):
+    """Each tuple's colours under `ranks` as one integer, digits base n, first position first."""
+    colour = ranks.__getitem__
+    codes = []
+    for group in columns:
+        code = list(map(colour, group[0]))
+        for column in group[1:]:
+            code = [c * n + d for c, d in zip(code, map(colour, column))]
+        codes += code
+    return codes
+
+
+def _refine_colors(incident: _Incidence, colors):
     """Refine `colors` by the colour profiles of incident tuples: (ranks, cells).
 
     New ranks order elements by old colour first, then by profile, so a
     round splits cells in place: only members of a cell with two or more
     elements need a profile, compared within their cell, and a round that
-    splits no cell ends the refinement.  Ranks depend on colours and
-    profiles only, never on element names, so isomorphic inputs refine
-    alike.  `cells[c]` lists the elements of rank c in ascending order.
+    splits no cell ends the refinement.  A profile is the sorted integers
+    of an element's incidences (`_Incidence`) under the round's colours.
+    Ranks depend on colours and profiles only, never on element names, so
+    isomorphic inputs refine alike.  `cells[c]` lists the elements of rank
+    c in ascending order.
     """
+    _, columns, offsets, owners = incident
+    n = len(colors)
     groups = {}
     for x, c in enumerate(colors):
         groups.setdefault(c, []).append(x)
     cells = [groups[c] for c in sorted(groups)]
-    ranks = [0] * len(colors)
+    ranks = [0] * n
     while True:
         for c, cell in enumerate(cells):
             for x in cell:
                 ranks[x] = c
+        if len(cells) == n:
+            return ranks, cells
+        code = _tuple_codes(columns, ranks, n).__getitem__
         refined = []
         for cell in cells:
             if len(cell) == 1:
@@ -467,8 +541,8 @@ def _refine_colors(incident, colors):
                 continue
             parts = {}
             for x in cell:
-                prof = sorted((si, pos, tuple(map(ranks.__getitem__, t))) for si, pos, t in incident[x])
-                parts.setdefault(tuple(prof), []).append(x)
+                prof = tuple(sorted(map(operator.add, offsets[x], map(code, owners[x]))))
+                parts.setdefault(prof, []).append(x)
             refined += [parts[p] for p in sorted(parts)]
         if len(refined) == len(cells):
             return ranks, cells
@@ -501,19 +575,57 @@ def _encode(a: Structure, perm):
     )
 
 
+def _twin_swap(through, w, v):
+    """The transposition of w and v as a list, if it maps every relation onto itself, else None.
+
+    `through[x]` lists (relation, tuple) for the tuples through x; only
+    those through w or v can move.
+    """
+    swap = {w: v, v: w}.get
+    for r, t in itertools.chain(through[w], through[v]):
+        if tuple([swap(x, x) for x in t]) not in r:
+            return None
+    g = list(range(len(through)))
+    g[w], g[v] = v, w
+    return g
+
+
+def _cell_map(a: Structure, cells, target):
+    """The map sending `cells`, read in order, onto `target`, if it is an automorphism, else None."""
+    if list(map(len, cells)) != list(map(len, target)):
+        return None
+    g = [0] * a.n
+    for x, y in zip(itertools.chain.from_iterable(cells), itertools.chain.from_iterable(target)):
+        g[x] = y
+    image = g.__getitem__
+    for r in a.rels:
+        for t in r:
+            if tuple(map(image, t)) not in r:
+                return None
+    return g
+
+
 def _canonical_labelling(a: Structure, colors=None):
     """(encoding, perm) of the least leaf of the individualisation-refinement tree.
 
     `perm` maps old id -> canonical id and `encoding` is `_encode(a, perm)`.
     Among colourings with one multiset of colours, encodings are equal for
-    exactly the colour-respecting isomorphic copies of `a`.
+    exactly the colour-respecting isomorphic copies of `a`.  The leaf is the
+    first one in depth-first order, children in ascending element order,
+    with the least encoding.
     """
     incident = _incidence(a)
     root, cells = _refine_colors(incident, colors if colors is not None else [0] * a.n)
     cell = _first_cell(cells)
     if cell is None:
         return _encode(a, root), root
+    through = [[] for _ in range(a.n)]
+    for r in a.rels:
+        for t in r:
+            for x in set(t):
+                through[x].append((r, t))
     first = best = None  # (encoding, perm, path of individualised elements)
+    first_cells = [cells]  # per depth, the cells of the first path's node
     autos = []  # automorphisms found, as lists old id -> old id
     stack = [(root, (), cell, [])]  # frame: colouring, path, target cell, children tried
     while stack:
@@ -523,12 +635,27 @@ def _canonical_labelling(a: Structure, colors=None):
             stack.pop()
             continue
         tried.append(v)
+        if len(tried) > 1:
+            # v's subtree is the image of the first child's under the swap
+            g = _twin_swap(through, tried[0], v)
+            if g is not None:
+                autos.append(g)
+                continue
         init = [2 * c for c in colouring]
         init[v] += 1  # v alone, just after the rest of its cell
         child, cells = _refine_colors(incident, init)
         child_path = path + (v,)
         cell = _first_cell(cells)
         if cell is not None:
+            if first is None:
+                first_cells.append(cells)
+            elif len(child_path) < len(first_cells) and first[2][:len(path)] == path:
+                # a child beside the first path whose colouring is an image
+                # of the first path's at its depth has an image subtree
+                g = _cell_map(a, cells, first_cells[len(child_path)])
+                if g is not None:
+                    autos.append(g)
+                    continue
             stack.append((child, child_path, cell, []))
             continue
         enc = _encode(a, child)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .patterns import PatternFamily
-from .structures import Lift, Signature, Structure, classify_cover
+from .structures import Lift, Signature, Structure, _interned, classify_cover
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -129,7 +129,7 @@ def _parse_signature(ts: TokenStream) -> tuple[str, Signature]:
             ts.next()
             lift.append(sym)
     ts.expect("}")
-    return name, Signature(tuple(symbols), frozenset(lift))
+    return name, _interned(tuple(symbols), frozenset(lift))
 
 
 def _parse_tuple(ts: TokenStream, elem_ids, tok_where):

@@ -13,6 +13,7 @@ from homkit.structures import (
     Lift,
     Structure,
     Signature,
+    _canonical_labelling,
     _incidence,
     _refine_colors,
     canonical_form,
@@ -29,6 +30,7 @@ from homkit.structures import (
     shadow,
 )
 
+import util
 from util import (
     DIGRAPH,
     MIXED,
@@ -37,9 +39,12 @@ from util import (
     digraph,
     loop_vertex,
     mixed_structures,
+    naive_canonical_labelling,
+    naive_incidence,
     naive_isomorphic,
     naive_refine_colors,
     point,
+    symmetric_structures,
 )
 
 CSIG = make_signature([("E", 2), ("C1", 1), ("C2", 1), ("C3", 1)], lift=["C1", "C2", "C3"])
@@ -75,6 +80,18 @@ class TestInvariants:
             make_signature([("E", 0)])
         with pytest.raises(InvalidStructureError):
             make_signature([("E", 2), ("E", 1)])
+
+    def test_equal_signatures_built_by_homkit_are_one_object(self):
+        from homkit.snp import parse_snp
+        from homkit.textio import parse_structure
+
+        sig = make_signature([("E", 2), ("C", 1)], lift=["C"])
+        assert make_signature([("E", 2), ("C", 1)], lift=["C"]) is sig
+        assert sig.base() is make_signature([("E", 2)])
+        phi = parse_snp("snp s { input { E/2 } proof { C/1 } clause NOT( E(x,y) & C(x) ) ; }")
+        assert phi.input_sig is sig.base()
+        assert parse_structure("signature g { E/2 } structure A : g { universe = {a} ; E = {} }").sig is sig.base()
+        assert Signature(sig.symbols, sig.lift_names) == sig
 
     def test_partition_lift_checked(self):
         with pytest.raises(InvalidStructureError):
@@ -393,9 +410,8 @@ def initial_colourings(draw):
 @given(initial_colourings())
 def test_refinement_matches_the_reference(case):
     a, colors = case
-    incident = _incidence(a)
-    ranks, cells = _refine_colors(incident, colors)
-    assert ranks == naive_refine_colors(incident, list(colors))
+    ranks, cells = _refine_colors(_incidence(a), colors)
+    assert ranks == naive_refine_colors(naive_incidence(a), list(colors))
     assert cells == [[x for x in range(a.n) if ranks[x] == c] for c in range(len(cells))]
 
 
@@ -458,8 +474,11 @@ class TestLiftCanonicalForm:
 
 
 def reference_refinement(incident, colors):
-    """`naive_refine_colors` in the shape of `_refine_colors`: (ranks, cells)."""
-    ranks = naive_refine_colors(incident, list(colors))
+    """`naive_refine_colors` in the shape of `_refine_colors`: (ranks, cells).
+
+    It reads only the structure that `incident` was built from.
+    """
+    ranks = naive_refine_colors(naive_incidence(incident.struct), list(colors))
     cells = [[] for _ in set(ranks)]
     for x, c in enumerate(ranks):
         cells[c].append(x)
@@ -490,3 +509,56 @@ def test_labels_are_those_of_the_reference_refinement(p, data):
         mp.setattr(structures, "_refine_colors", reference_refinement)
         want = labels(p, colors)
     assert got == want
+
+
+def optional_colours(a):
+    return st.none() | st.lists(st.integers(0, 2), min_size=a.n, max_size=a.n)
+
+
+class TestAgainstTheUnshortcutSearch:
+    """Twin swaps and first-path cell maps prune, yet keep the reference search's leaf."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_structures(max_n=8, max_tuples=8), st.data())
+    def test_mixed_structures(self, a, data):
+        colors = data.draw(optional_colours(a))
+        assert _canonical_labelling(a, colors) == naive_canonical_labelling(a, colors)
+
+    @settings(max_examples=300, deadline=None)
+    @given(symmetric_structures(), st.data())
+    def test_symmetric_structures(self, a, data):
+        colors = data.draw(optional_colours(a))
+        assert _canonical_labelling(a, colors) == naive_canonical_labelling(a, colors)
+
+    @settings(max_examples=200, deadline=None)
+    @given(constrained_lifts(), st.data())
+    def test_constrained_lifts(self, p, data):
+        colors = data.draw(st.lists(st.integers(0, 2), min_size=p.n, max_size=p.n))
+        got = labels(p, colors)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structures, "_canonical_labelling", naive_canonical_labelling)
+            want = labels(p, colors)
+        assert got == want
+
+
+def calls_made(module, name, call):
+    """How many times `call()` calls `module.name`."""
+    count = [0]
+    inner = getattr(module, name)
+
+    def spy(*args):
+        count[0] += 1
+        return inner(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, spy)
+        call()
+    return count[0]
+
+
+def test_symmetric_shapes_take_few_refinements():
+    assert calls_made(structures, "_refine_colors", lambda: canonical_form(clique(8))) <= 9
+    k34 = digraph(7, [arc for i in range(3) for j in range(3, 7) for arc in ((i, j), (j, i))])
+    fast = calls_made(structures, "_refine_colors", lambda: canonical_form(k34))
+    slow = calls_made(util, "naive_refine_colors", lambda: naive_canonical_labelling(k34))
+    assert fast < slow

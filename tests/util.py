@@ -176,6 +176,48 @@ def mixed_structures(draw, max_n=6, max_tuples=6, min_n=0):
 
 
 @st.composite
+def symmetric_structures(draw, max_n=9):
+    """Highly symmetric structures, relabelled at random.
+
+    Digraphs: circulants, both orientations of a cycle, cliques, complete
+    multipartite graphs, and unions of random permutations, whose elements
+    share a degree but seldom an orbit.  Over MIXED: disjoint copies of
+    one piece.
+    """
+    kind = draw(st.sampled_from(["circulant", "cycle", "clique", "multipartite", "copies", "permutations"]))
+    if kind == "circulant":
+        n = draw(st.integers(1, max_n))
+        jumps = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+        arcs = [(i, (i + j) % n) for i in range(n) for j in jumps]
+    elif kind == "cycle":
+        n = draw(st.integers(2, max_n))
+        step = draw(st.sampled_from([1, n - 1]))
+        arcs = [(i, (i + step) % n) for i in range(n)]
+    elif kind == "clique":
+        n = draw(st.integers(1, max_n))
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    elif kind == "permutations":
+        n = draw(st.integers(1, max_n))
+        perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+        arcs = [(i, p[i]) for p in perms for i in range(n)]
+    elif kind == "multipartite":
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= max_n))
+        part = [p for p, size in enumerate(sizes) for _ in range(size)]
+        n = len(part)
+        arcs = [(i, j) for i in range(n) for j in range(n) if part[i] != part[j]]
+    else:
+        piece = draw(mixed_structures(min_n=1, max_n=3, max_tuples=3))
+        copies = draw(st.integers(1, max_n // piece.n))
+        n = piece.n * copies
+        rels = {name: [tuple(x + c * piece.n for x in t) for c in range(copies) for t in r]
+                for name, r in zip(MIXED.names, piece.rels)}
+        perm = draw(st.permutations(range(n)))
+        return Structure(MIXED, n, {name: [tuple(perm[x] for x in t) for t in r] for name, r in rels.items()})
+    perm = draw(st.permutations(range(n)))
+    return digraph(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+@st.composite
 def mixed_trees(draw, max_n=5):
     """Connected trees over MIXED with at most max_n elements.
 
@@ -680,6 +722,15 @@ def naive_saturate_inequalities(phi):
     return keys
 
 
+def naive_incidence(a):
+    """Per element: the (symbol index, position, tuple) triples it occurs in."""
+    incident = [[] for _ in range(a.n)]
+    for si, t in a.all_tuples():
+        for pos, x in enumerate(t):
+            incident[x].append((si, pos, t))
+    return incident
+
+
 def naive_refine_colors(incident, colors):
     """Colour refinement that recomputes every element's profile each round.
 
@@ -701,6 +752,78 @@ def naive_refine_colors(incident, colors):
             break
         colors = new
     return colors
+
+
+def naive_canonical_labelling(a, colors=None):
+    """(encoding, perm) of the first least leaf, found without the search's shortcuts.
+
+    The reference for `structures._canonical_labelling`: the same
+    depth-first individualisation-refinement over `naive_refine_colors`,
+    children in ascending element order, pruned only by orbits and by
+    leaves equivalent to the first or the best leaf, with neither the twin
+    swaps nor the first-path cell maps.
+    """
+    n = a.n
+    incident = naive_incidence(a)
+
+    def refine(init):
+        ranks = naive_refine_colors(incident, list(init))
+        cells = [[x for x in range(n) if ranks[x] == c] for c in range(len(set(ranks)))]
+        return ranks, next((cell for cell in cells if len(cell) > 1), None)
+
+    def encode(perm):
+        return tuple(tuple(sorted(tuple(perm[x] for x in t) for t in r)) for r in a.rels)
+
+    def next_child(cell, tried, prefix, autos):
+        fixing = [g for g in autos if all(g[x] == x for x in prefix)]
+        seen, todo = set(tried), list(tried)
+        while todo:
+            x = todo.pop()
+            for g in fixing:
+                if g[x] not in seen:
+                    seen.add(g[x])
+                    todo.append(g[x])
+        return next((v for v in cell if v not in seen), None)
+
+    root, cell = refine(colors if colors is not None else [0] * n)
+    if cell is None:
+        return encode(root), root
+    first = best = None
+    autos = []
+    stack = [(root, (), cell, [])]
+    while stack:
+        colouring, path, cell, tried = stack[-1]
+        v = next_child(cell, tried, path, autos)
+        if v is None:
+            stack.pop()
+            continue
+        tried.append(v)
+        init = [2 * c for c in colouring]
+        init[v] += 1
+        child, cell = refine(init)
+        child_path = path + (v,)
+        if cell is not None:
+            stack.append((child, child_path, cell, []))
+            continue
+        enc = encode(child)
+        if first is None:
+            first = best = (enc, child, child_path)
+            continue
+        for enc0, perm0, path0 in (first, best):
+            if enc == enc0:
+                inverse0 = [0] * n
+                for x, p in enumerate(perm0):
+                    inverse0[p] = x
+                autos.append([inverse0[p] for p in child])
+                depth = 0
+                while path0[depth] == child_path[depth]:
+                    depth += 1
+                del stack[depth + 1:]
+                break
+        else:
+            if enc < best[0]:
+                best = (enc, child, child_path)
+    return best[0], best[1]
 
 
 def naive_retract_dominated(a):
