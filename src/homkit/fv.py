@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .duality import forest_family_duals
 from .errors import GuardExceededError, GirthTooSmallError
 from .homs import _set_partitions, hom_maps
-from .patterns import PatternFamily, _minimal_patterns, _shadow_templates, pattern_color_map
+from .patterns import PatternFamily, _by_size_and_key, _minimal_patterns, _shadow_templates, pattern_color_map
 from .shape import _join_classes, biconnected_components, shortest_cycle
 from .structures import (
     Lift,
@@ -282,7 +282,7 @@ def build_gprime(fam: PatternFamily, basis: BasisSignature, cap: int = GPRIME_AS
                         members.setdefault(lift_canonical_form(lift), lift)
                         if len(members) > cap:
                             raise GuardExceededError("member count exceeds the cap")
-    pats = sorted(members.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+    pats = _by_size_and_key(members)
     return PatternFamily(basis.lifted, _minimal_patterns(pats), "plain", 1)
 
 

@@ -698,7 +698,11 @@ def is_core(a: Structure) -> bool:
 
 def core_of(a: Structure) -> Structure:
     """The unique (up to isomorphism) hom-equivalent core substructure."""
-    current = _retract_dominated(a)
+    return _core_of_retracted(_retract_dominated(a))
+
+
+def _core_of_retracted(current: Structure) -> Structure:
+    """`core_of` for a structure that `_retract_dominated` leaves as it is."""
     while True:
         endo = _shrinking_endo(current)
         if endo is None:

@@ -676,7 +676,7 @@ def normalize_family(fam: PatternFamily) -> PatternFamily:
             continue
         c = Lift(core_of(p.struct), fam.lift_arity, "none")
         cored.setdefault(lift_canonical_form(c), c)
-    pats = sorted(cored.values(), key=lambda p: (p.struct.n, lift_canonical_form(p)))
+    pats = _by_size_and_key(cored)
     return PatternFamily(fam.sig, _minimal_patterns(pats), fam.mode_tag, fam.lift_arity)
 
 
@@ -881,4 +881,9 @@ def _dedup_lifts(lifts):
     seen = {}
     for p in lifts:
         seen.setdefault(lift_canonical_form(p), p)
-    return tuple(sorted(seen.values(), key=lambda p: (p.struct.n, lift_canonical_form(p))))
+    return _by_size_and_key(seen)
+
+
+def _by_size_and_key(keyed) -> tuple:
+    """The lifts of a {lift_canonical_form: lift} dict, sorted by size, then key."""
+    return tuple(p for _, p in sorted(keyed.items(), key=lambda kp: (kp[1].struct.n, kp[0])))

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from homkit.cli import main
 from homkit.homs import hom_exists
+from homkit.patterns import verify_shadow_duality
 from homkit.structures import Structure, is_isomorphic
 from homkit.textio import parse_family, parse_structure
 
@@ -181,6 +182,18 @@ class TestUnary:
         tournament = Structure(d.sig, 8, {"E": [(i, j) for i in range(8) for j in range(i + 1, 8)]})
         assert is_isomorphic(d, tournament)
 
+    def test_dual_of_one_colour_8_element_path(self, tmp_path):
+        names = [f"v{i}" for i in range(8)]
+        arcs = ",".join(f"({u},{v})" for u, v in zip(names, names[1:]))
+        path = tmp_path / "cpath8.st"
+        path.write_text(
+            f"signature c {{ E/2 C/1 }}\nstructure p : c {{ universe = {{{','.join(names)}}} ; "
+            f"E = {{{arcs}}} ; C = {{{','.join(names)}}} }}\n"
+        )
+        res, payload = run_json("dual", str(path))
+        assert res.exit_code == 0
+        assert parse_structure(payload["dual"]).n == 8
+
     def test_dual_rejects_cycle(self, files):
         res = run("dual", files["triangle"])
         assert res.exit_code == 2
@@ -201,20 +214,18 @@ class TestFamilies:
         assert parse_structure(payload["witness"]).n == 3
 
     def test_fp_decide_long_path(self, tmp_path):
-        # an 8-element one-colour path is too long for the default dual caps,
-        # so the verdict comes without templates
-        elems = [f"v{i}" for i in range(8)]
-        arcs = ",".join(f"({x},{y})" for x, y in zip(elems, elems[1:]))
-        fam = tmp_path / "path8.fam"
-        fam.write_text(
-            "signature psig { E/2 C/1 lift }\nfamily path8 : psig { mode = plain ; lift_arity = 1 ;\n"
-            "  pattern P { universe = {%s} ; E = {%s} ; C = {%s} }\n}\n" % (",".join(elems), arcs, ",".join(elems))
-        )
-        res, payload = run_json("fp-decide", str(fam))
+        # the dual of an 8-element one-colour path, |D| = 2,916 before coring,
+        # is built from cylinder masks: one template, T_7 on the path's shadow
+        fam_path = tmp_path / "path8.fam"
+        fam_path.write_text(path8_family_text())
+        res, payload = run_json("fp-decide", str(fam_path))
         assert res.exit_code == 0
         assert payload["verdict"] == "finite_union_csp"
-        assert payload["note"].startswith("duality cap")
-        assert "templates" not in payload
+        (text,) = payload["templates"]
+        template = parse_structure(text)
+        assert is_isomorphic(template, Structure(template.sig, 7, {"E": [(i, j) for i in range(7) for j in range(i + 1, 7)]}))
+        fam = parse_family(fam_path.read_text())
+        assert verify_shadow_duality(fam, [template], 3) == (True, None)
 
     def test_fp_decide_malformed(self, tmp_path):
         bad = tmp_path / "bad.fam"
@@ -359,3 +370,13 @@ class TestPipelines:
     def test_machine_reports_round_trip(self, files):
         res, payload = run_json("core", files["k3"])
         assert parse_structure(payload["core"]).n == 3
+
+
+def path8_family_text():
+    """A one-pattern family: the directed path on 8 elements, each coloured C."""
+    elems = [f"v{i}" for i in range(8)]
+    arcs = ",".join(f"({x},{y})" for x, y in zip(elems, elems[1:]))
+    return (
+        "signature psig { E/2 C/1 lift }\nfamily path8 : psig { mode = plain ; lift_arity = 1 ;\n"
+        "  pattern P { universe = {%s} ; E = {%s} ; C = {%s} }\n}\n" % (",".join(elems), arcs, ",".join(elems))
+    )

@@ -1,7 +1,6 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from homkit import duality
 from homkit.duality import (
     dedup_hom_equivalent,
     forest_family_duals,
@@ -16,7 +15,7 @@ from homkit.patterns import PatternFamily, verify_shadow_duality
 from homkit.shape import connected_component_elements, is_forest
 from homkit.structures import Lift, Structure, is_isomorphic, make_signature, product
 
-from util import DIGRAPH, clique, dcycle, digraph, dpath, loop_vertex, mixed_trees, naive_core_of, point
+from util import DIGRAPH, MIXED, clique, dcycle, digraph, dpath, loop_vertex, mixed_trees, naive_tree_dual, point
 
 
 class TestTreeDual:
@@ -55,11 +54,35 @@ class TestTreeDual:
         assert is_isomorphic(tree_dual(dpath(k)), transitive_tournament(k))
 
     @pytest.mark.parametrize("k", [6, 8])
-    def test_path_dual_is_the_reference_core(self, k, monkeypatch):
-        d = tree_dual(dpath(k))
-        monkeypatch.setattr(duality, "core_of", naive_core_of)
-        want = tree_dual(dpath(k))
+    def test_path_dual_is_the_reference_core(self, k):
+        d, want = tree_dual(dpath(k)), naive_tree_dual(dpath(k))
         assert (d.n, d.rels) == (want.n, want.rels)
+
+    def test_reference_dual_on_all_small_trees(self):
+        for t in all_trees(4):
+            d, want = tree_dual(t), naive_tree_dual(t)
+            assert (d.n, d.rels) == (want.n, want.rels), t
+
+    @settings(max_examples=200, deadline=None)
+    @given(mixed_trees())
+    @example(Structure(MIXED, 5, {"U": [(3,)], "E": [(0, 1), (2, 1)], "T": [(3, 4, 1)]}))  # needs the T walk
+    def test_reference_dual_on_random_mixed_tree(self, t):
+        d, want = tree_dual(t), naive_tree_dual(t)
+        assert (d.n, d.rels) == (want.n, want.rels)
+
+    @pytest.mark.parametrize("colours", [1, 2])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_reference_dual_on_coloured_path(self, k, colours):
+        t = coloured_path(k, colours)
+        d, want = tree_dual(t), naive_tree_dual(t)
+        assert (d.n, d.rels) == (want.n, want.rels)
+
+    def test_one_colour_8_element_path(self):
+        # 2 * 2 * 3^6 = 2,916 maps before coring
+        t = coloured_path(8, 1)
+        d = tree_dual(t)
+        assert d.n == 8
+        assert verify_duality([t], [d], 3) == (True, None)
 
     def test_universe_cap_counts_maps_to_incident_tuples(self):
         # the 8-arc path has 7 inner elements on two arcs each: 2^7 maps
@@ -77,6 +100,16 @@ class TestTreeDual:
         d = tree_dual(t)
         assert is_core(d)
         assert verify_duality([t], [d], 2) == (True, None)
+
+
+COLOURED = make_signature([("E", 2), ("C1", 1), ("C2", 1)])
+
+
+def coloured_path(k, colours):
+    """The directed path on k elements, all coloured C1, or C1 and C2 in turn."""
+    c1 = [(i,) for i in range(k) if colours == 1 or i % 2 == 0]
+    c2 = [(i,) for i in range(k) if colours == 2 and i % 2 == 1]
+    return Structure(COLOURED, k, {"E": [(i, i + 1) for i in range(k - 1)], "C1": c1, "C2": c2})
 
 
 def transitive_tournament(k):

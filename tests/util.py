@@ -878,3 +878,24 @@ def naive_core_of(a):
         if endo is None:
             return current
         current = induced(current, endo)
+
+
+def naive_tree_dual(t):
+    """The core of the Nešetřil–Tardif dual of the tree `t`, built from its definition.
+
+    The elements are the maps sending each element of `t` to a tuple that
+    contains it, listed by `itertools.product` over each element's tuples
+    in (symbol index, tuple) order.  A tuple of maps is related unless some
+    tuple e of `t` under the same symbol has every map pointing its element
+    at that position at e.  No check that `t` is a tree is made.
+    """
+    tuples = sorted(t.all_tuples())
+    maps = list(itertools.product(*([e for e in tuples if x in e[1]] for x in range(t.n))))
+    rels = {}
+    for si, (name, arity) in enumerate(t.sig.symbols):
+        rels[name] = [
+            fs
+            for fs in itertools.product(range(len(maps)), repeat=arity)
+            if not any(s == si and all(maps[f][u] == (s, tp) for f, u in zip(fs, tp)) for s, tp in tuples)
+        ]
+    return naive_core_of(Structure(t.sig, len(maps), rels))
