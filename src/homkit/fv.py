@@ -294,7 +294,7 @@ def reduce_forward(a: Structure, fam: PatternFamily, basis=None, duality_caps=No
     image = psi(a, basis)
     try:
         duals = forest_family_duals([p.struct for p in gfam.patterns], **(duality_caps or {}))
-        templates = _shadow_templates(basis.beta, duals)
+        templates = tuple(_shadow_templates(basis.beta, duals))
     except GuardExceededError:
         templates = None
     return image, gfam, templates

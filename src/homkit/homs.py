@@ -636,6 +636,8 @@ def _retract_dominated(a: Structure) -> Structure:
     tuples of arity 3 or more are tested on the candidates left.  A pass
     drops y at once when a candidate survives, and passes repeat until one
     drops nothing, since a removal can make an earlier element dominated.
+    When nothing drops and `a` has no element names (which `induced`
+    would drop), `a` itself comes back, with the tables cached on it.
     """
     n = a.n
     rels, rows, self_masks, full, _ = _target_tables(a)
@@ -674,6 +676,8 @@ def _retract_dominated(a: Structure) -> Structure:
                 alive[y] = False
                 live ^= 1 << y
                 changed = True
+    if live == full and a.element_names is None:
+        return a
     return induced(a, [z for z in range(n) if alive[z]])
 
 

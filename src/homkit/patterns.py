@@ -16,9 +16,14 @@ from the same formula reuse them.  On a space of at most `_MASK_LIMIT`
 assignments the mask walker ORs every occurrence's forbidden
 assignments into one integer, a bit per assignment, and the lowest clear
 bit is the lexicographically least avoiding colouring (`_avoiding`).  On
-larger spaces the nogood walker collects the occurrences as nogoods and
-`solve_nogoods` decides them.  SNP evaluation uses the same walkers and
-deciders for its proof bits, as forbidden lifts and MMSNP are one
+larger spaces, a plain monadic family whose normalized patterns are
+forests has a language that is a finite union of CSPs: its templates,
+the cored partition powers of the Nešetřil–Tardif duals, are built once
+per family value (`_build_templates`), and one search into each decides
+membership.  Any other family's occurrences are collected by the nogood
+walker as nogoods, and `solve_nogoods` decides them.  SNP evaluation uses
+the same walkers and deciders for its proof bits, and the templates of
+its formula's general translation, as forbidden lifts and MMSNP are one
 problem.
 
 Witnesses are partition lifts throughout: a covering witness can always
@@ -138,13 +143,28 @@ class PatternFamily:
 _WALKERS = {}
 
 # Spaces of at most this many assignments are decided on one bitmask (see
-# `_avoiding`); larger ones by nogoods and `solve_nogoods`.  Each mask
+# `_avoiding`); larger ones through templates (`_build_templates`), or
+# by nogoods and `solve_nogoods` when the family has none.  Each mask
 # operation costs time in proportion to the space, so the solver overtakes
 # the masks past about 2^15 assignments on random colouring families.
-_MASK_LIMIT = 1 << 13
+_MASK_BITS = 13
+_MASK_LIMIT = 1 << _MASK_BITS
 
 # Literal masks by (variables, values); see `_literal_masks`.
 _LITERALS = {}
+
+# Templates by family or formula value, as `_build_templates` makes them,
+# None for those without; once `_TEMPLATES_KEPT` are kept, the oldest
+# entry makes room for a new one.
+_TEMPLATES = {}
+_TEMPLATES_KEPT = 128
+
+# The dual universe cap of `_build_templates`, below `tree_dual`'s default:
+# a tree dual's time grows with the square of its universe (the one-colour
+# path with 8 elements, 2,916 maps, takes 25-35 ms on a 2-vCPU host, and
+# 10 elements, 26,244 maps, 1.5 s), so a family with larger duals is left
+# to the solver rather than decided at length on its first large call.
+_TEMPLATE_CAPS = {"universe_cap": 1 << 12}
 
 
 def _group_programs(programs, sizes) -> tuple:
@@ -598,6 +618,51 @@ def _nogood_coloring(programs, a: Structure, arities, k: int):
     return solve_nogoods(sum(a.n ** r for r in arities), k, nogoods)
 
 
+def _cached_templates(key, build):
+    """The entry of `_TEMPLATES` under `key`, made by `build()` on a miss."""
+    try:
+        return _TEMPLATES[key]
+    except KeyError:
+        pass
+    entry = build()
+    if len(_TEMPLATES) >= _TEMPLATES_KEPT:
+        del _TEMPLATES[next(iter(_TEMPLATES))]
+    _TEMPLATES[key] = entry
+    return entry
+
+
+def _build_templates(fam: PatternFamily):
+    """(template, classes) pairs whose CSPs make up the language of `fam`, or None.
+
+    Only plain monadic families without noncollapse pairs or free slots,
+    whose normalized patterns are forests, have them: the templates of
+    `decide_finite_union_csp` under `_TEMPLATE_CAPS`, in order.  classes[y]
+    is the lift class of element y of the template, read off one map into
+    the partition power it is the core of, so a map a -> template colours
+    `a` into the lifted dual.  A family none of whose patterns can occur in
+    a partition lift gets the terminal template, all in class 0; one with a
+    0-element pattern gets no template, and nothing is a member.  None on a
+    cyclic pattern or when a cap fires.
+    """
+    if fam.mode_tag != "plain" or not fam.is_monadic() or any(p.noncollapse or p.free_tuples for p in fam.patterns):
+        return None
+    out, powers = _decide(fam, _TEMPLATE_CAPS)
+    if out.templates is None:
+        return None
+    if powers is None:
+        return ((out.templates[0], (0,)),)
+    return tuple((t, tuple(points[y][1] for y in next(hom_maps(t, power)))) for t, (power, points) in powers.items())
+
+
+def _template_coloring(templates, a: Structure):
+    """The classes of `a`'s elements by a map into the first template that takes one, or None."""
+    for t, classes in templates:
+        m = next(hom_maps(a, t), None)
+        if m is not None:
+            return [classes[y] for y in m]
+    return None
+
+
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
     """A partition lift of `a` avoiding every pattern, or None.
 
@@ -606,9 +671,13 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     the colors of its colored r-tuples' images.  A space of at most
     `_MASK_LIMIT` colorings is decided on one bitmask by `_avoiding`, and
     the witness is then the lexicographically least avoiding coloring, the
-    r-tuples in `itertools.product` order.  Larger spaces collect the
-    occurrences as nogoods, and `solve_nogoods` looks for a coloring
-    avoiding them all.
+    r-tuples in `itertools.product` order.  On a larger space, a family
+    whose language is a finite union of CSPs (see `_build_templates`,
+    decided on the first such call and cached by the family's value) is
+    decided by searching `a` into its templates in turn, and the first map
+    found colors the witness.  Any other family collects the occurrences
+    as nogoods, and `solve_nogoods` looks for a coloring avoiding them
+    all; `bits_cap` bounds that space, and the mask path's.
     """
     if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
@@ -617,10 +686,14 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
         raise ValueError("family signature has no lift symbols")
     r, k = fam.lift_arity, len(colors)
     nvars = a.n ** r
-    if nvars * math.log2(k) > bits_cap:
-        raise GuardExceededError(f"{k}^{nvars} colorings exceed the membership cap")
-    decide = _least_coloring if k ** nvars <= _MASK_LIMIT else _nogood_coloring
-    coloring = decide(fam._compiled, a, (r,), k)
+    small = k == 1 or nvars <= _MASK_BITS and k ** nvars <= _MASK_LIMIT
+    templates = None if small else _cached_templates(fam, lambda: _build_templates(fam))
+    if templates is not None:
+        coloring = _template_coloring(templates, a)
+    else:
+        if nvars * math.log2(k) > bits_cap:
+            raise GuardExceededError(f"{k}^{nvars} colorings exceed the membership cap")
+        coloring = (_least_coloring if small else _nogood_coloring)(fam._compiled, a, (r,), k)
     if coloring is None:
         return None
     return _partition_witness(fam, a, itertools.product(range(a.n), repeat=r), coloring)
@@ -715,13 +788,13 @@ def partition_power(sig_base: Signature, dual: Structure) -> Structure:
     structure; uncolored dual elements cannot host a partition lift and
     drop out.
     """
-    lifted_sig = dual.sig
-    color_names = [name for name, _ in lifted_sig.lift_symbols()]
-    points = []
-    for x in range(dual.n):
-        for name in color_names:
-            if (x,) in dual.rel(name):
-                points.append((x, name))
+    return _partition_power(sig_base, dual)[0]
+
+
+def _partition_power(sig_base: Signature, dual: Structure):
+    """`partition_power` and its points, as (dual element, lift symbol index) pairs."""
+    colors = [dual.rel(name) for name, _ in dual.sig.lift_symbols()]
+    points = [(x, ci) for x in range(dual.n) for ci, rel in enumerate(colors) if (x,) in rel]
     index = {p: i for i, p in enumerate(points)}
     rels = {}
     for name, ar in sig_base.symbols:
@@ -730,7 +803,7 @@ def partition_power(sig_base: Signature, dual: Structure) -> Structure:
         for cand in itertools.product(points, repeat=ar):
             if tuple(p[0] for p in cand) in have:
                 rels[name].add(tuple(index[p] for p in cand))
-    return Structure(sig_base, len(points), rels)
+    return Structure(sig_base, len(points), rels), points
 
 
 def decide_finite_union_csp(fam: PatternFamily, duality_caps=None) -> DecisionOutcome:
@@ -741,6 +814,12 @@ def decide_finite_union_csp(fam: PatternFamily, duality_caps=None) -> DecisionOu
     witness.  If the dual construction hits a size cap the positive
     verdict is still returned, without templates.
     """
+    return _decide(fam, duality_caps)[0]
+
+
+def _decide(fam: PatternFamily, duality_caps=None):
+    """`decide_finite_union_csp`, and the dict of `_shadow_templates` when its
+    templates come from duals (None otherwise)."""
     norm = normalize_family(fam)
     base = fam.base_sig
     if not norm.patterns:
@@ -748,24 +827,33 @@ def decide_finite_union_csp(fam: PatternFamily, duality_caps=None) -> DecisionOu
             "finite_union_csp",
             templates=(terminal_structure(base),),
             note="degenerate: every structure belongs to the language",
-        )
+        ), None
     for p in norm.patterns:
         found = shortest_cycle(p.struct)
         if found is not None:
             return DecisionOutcome(
                 "not_finite_union", witness=p, witness_cycle=tuple(found[1])
-            )
+            ), None
     kwargs = duality_caps or {}
     try:
         duals = forest_family_duals([p.struct for p in norm.patterns], **kwargs)
     except GuardExceededError as e:
-        return DecisionOutcome("finite_union_csp", templates=None, note=f"duality cap: {e}")
-    return DecisionOutcome("finite_union_csp", templates=_shadow_templates(base, duals))
+        return DecisionOutcome("finite_union_csp", templates=None, note=f"duality cap: {e}"), None
+    powers = _shadow_templates(base, duals)
+    return DecisionOutcome("finite_union_csp", templates=tuple(powers)), powers
 
 
-def _shadow_templates(base: Signature, duals) -> tuple:
-    """Base templates of lifted duals: cored partition powers, one per CSP."""
-    return tuple(dedup_hom_equivalent([core_of(partition_power(base, d)) for d in duals]))
+def _shadow_templates(base: Signature, duals) -> dict:
+    """Base templates of lifted duals: cored partition powers, one per CSP.
+
+    Each template, in order, maps to the partition power it is the core of
+    and that power's points (see `_partition_power`).
+    """
+    powers = {}
+    for d in duals:
+        power, points = _partition_power(base, d)
+        powers.setdefault(core_of(power), (power, points))
+    return {t: powers[t] for t in dedup_hom_equivalent(powers)}
 
 
 def corroborate_negative(fam: PatternFamily, template_size: int = 2, set_size: int = 2, max_n: int = 3):

@@ -9,8 +9,11 @@ once into a shadow, and `eval_snp` walks the clause shadows with
 clauses with the same inequalities and negated input atoms, each
 occurrence forbidding its proof part over the proof bits, with k = 2:
 on one bitmask for at most `patterns._MASK_LIMIT` proof choices, as
-nogoods for `solve_nogoods` beyond.  The translations read clauses as
-evaluation does.
+nogoods for `solve_nogoods` beyond.  Beyond the mask limit, a monotone,
+inequality-free formula with monadic proof symbols whose general
+translation has templates (`patterns._build_templates`) is decided by a
+search into them instead.  The translations read clauses as evaluation
+does.
 """
 
 from __future__ import annotations
@@ -21,7 +24,17 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
 from .homs import _set_partitions
-from .patterns import _MASK_LIMIT, PatternFamily, _avoiding, _dedup_lifts, _group_programs, _nogood_coloring
+from .patterns import (
+    _MASK_BITS,
+    PatternFamily,
+    _avoiding,
+    _build_templates,
+    _cached_templates,
+    _dedup_lifts,
+    _group_programs,
+    _nogood_coloring,
+    _template_coloring,
+)
 from .structures import HomMode, Lift, Signature, Structure, _interned
 from .textio import TokenStream, tokenize
 
@@ -62,6 +75,10 @@ class SNPFormula:
     input_sig: Signature
     proof: tuple  # ((name, arity), ...)
     clauses: tuple
+
+    @functools.cached_property
+    def _arities(self) -> tuple:
+        return tuple(arity for _, arity in self.proof)
 
     @functools.cached_property
     def _compiled(self):
@@ -236,17 +253,43 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     One proof bit per tuple of each proof symbol, the symbols one after the
     other.  With at most `patterns._MASK_LIMIT` choices the answer is
     whether the clause occurrences forbid them all, read on one bitmask
-    (`patterns._avoiding`); otherwise `solve_nogoods` decides the nogoods.
+    (`patterns._avoiding`).  With more, a formula whose general
+    translation has templates (see `_formula_templates`, built on the
+    first such call and cached by the formula's value) holds on `a` iff
+    `a` maps into one of them; for any other formula `solve_nogoods`
+    decides the nogoods, and `bits_cap` bounds that space and the mask
+    path's.
     """
     if a.sig is not phi.input_sig and a.sig != phi.input_sig:
         raise SignatureMismatchError("structure signature differs from the formula's input part")
-    arities = tuple(par for _, par in phi.proof)
+    arities = phi._arities
     bits = sum(a.n ** par for par in arities)
+    small = bits <= _MASK_BITS
+    templates = None if small else _cached_templates(phi, lambda: _formula_templates(phi))
+    if templates is not None:
+        return _template_coloring(templates, a) is not None
     if bits > bits_cap:
         raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
-    if 1 << bits <= _MASK_LIMIT:
+    if small:
         return _avoiding(phi._compiled, a, arities, 2) != 0
     return _nogood_coloring(phi._compiled, a, arities, 2) is not None
+
+
+def _formula_templates(phi: SNPFormula):
+    """The templates of `patterns._build_templates` for `to_lifts_general(phi)`, or None.
+
+    Only monotone, inequality-free formulas with monadic proof symbols
+    translate to a family that can have them; None also when the
+    translation exceeds its cap.
+    """
+    rep = restriction_report(phi)
+    if not (rep.monotone and rep.monadic and rep.no_inequality):
+        return None
+    try:
+        fam = to_lifts_general(phi)
+    except GuardExceededError:
+        return None
+    return _build_templates(fam)
 
 
 # ---------------------------------------------------------------------------

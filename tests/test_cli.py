@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +9,8 @@ from homkit.homs import hom_exists
 from homkit.patterns import verify_shadow_duality
 from homkit.structures import Structure, is_isomorphic
 from homkit.textio import parse_family, parse_structure
+
+from util import planted_arcs, proper_colouring
 
 K2 = """
 signature d { E/2 }
@@ -240,6 +243,20 @@ class TestFamilies:
         assert witness.n == 3
         res2 = run("fp-member", files["three_col.fam"], files["k3"].replace("k3", "k3"))
         assert res2.exit_code == 0
+
+    def test_fp_member_past_the_membership_cap(self, files, tmp_path):
+        # 3^40 colourings: decided by a search into the family's template, K3
+        n = 40
+        arcs = sorted(planted_arcs(random.Random(7), n, 3 * n, 3))
+        big = tmp_path / "planted.st"
+        big.write_text("signature d { E/2 }\nstructure G : d { universe = {%s} ; E = {%s} }" % (
+            ",".join(f"v{i}" for i in range(n)), ",".join(f"(v{u},v{v})" for u, v in arcs)))
+        res, payload = run_json("fp-member", files["three_col.fam"], str(big))
+        assert res.exit_code == 0 and payload["member"] is True
+        witness = parse_structure(payload["witness"])
+        colours = {x: ci for ci in range(3) for (x,) in witness.rel(f"C{ci + 1}")}
+        assert witness.n == n and len(colours) == n and proper_colouring(witness.rel("E"), colours)
+        assert run("fp-member", files["three_col.fam"], str(big)).exit_code == 0
 
     def test_fp_member_negative(self, files, tmp_path):
         k4 = tmp_path / "k4.st"

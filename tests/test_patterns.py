@@ -1,14 +1,15 @@
 import io
 import itertools
 import keyword
+import random
 import re
 import time
 import tokenize
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from homkit import patterns
+from homkit import patterns, snp
 from homkit.enumeration import all_structures
 from homkit.errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from homkit.homs import hom_equivalent, hom_exists
@@ -45,8 +46,10 @@ from util import (
     clique,
     dcycle,
     digraph,
+    dpath,
     fully_colored,
     monadic_families,
+    monadic_forest_families,
     naive_family_nogoods,
     naive_formula_nogoods,
     naive_homs,
@@ -54,6 +57,8 @@ from util import (
     naive_least_coloring,
     naive_normalize,
     partial_families,
+    planted_arcs,
+    proper_colouring,
     same_constraint,
     scycle,
     shadow_sharing_families,
@@ -291,20 +296,44 @@ class TestMaskBoundary:
             assert decide(fam._compiled, clique(2), (1,), 3) is None
         assert fp_membership(Structure(fam.base_sig, 0), fam) is not None
 
+    @staticmethod
+    def spy_on_templates(monkeypatch):
+        calls = []
+        route = patterns._template_coloring
+
+        def spy(templates, a):
+            calls.append(a.n)
+            return route(templates, a)
+
+        monkeypatch.setattr(patterns, "_template_coloring", spy)
+        monkeypatch.setattr(snp, "_template_coloring", spy)
+        return calls
+
     def test_spaces_at_and_just_above_the_limit(self, monkeypatch):
         n = patterns._MASK_LIMIT.bit_length() - 1
         assert 2**n == patterns._MASK_LIMIT
-        calls = self.spy_on_solver(monkeypatch)
+        solved = self.spy_on_solver(monkeypatch)
+        routed = self.spy_on_templates(monkeypatch)
+        # two-colourability with templates, and the same language on loopless
+        # graphs without: injective mode, and clauses with x != y
         fam = two_col_family()
-        phi = parse_snp("""snp two { input { E/2 } proof { P/1 }
-          clause NOT( E(x,y) & P(x) & P(y) ) ; clause NOT( E(x,y) & !P(x) & !P(y) ) ; }""")
-        for size, solved in ((n, []), (n + 1, [(n + 1, 2)])):
+        injective = PatternFamily(BSIG, fam.patterns, "injective", 1)
+        clauses = ("E(x,y) & P(x) & P(y)", "E(x,y) & !P(x) & !P(y)")
+        phi, apart = (parse_snp("snp two { input { E/2 } proof { P/1 } "
+                                + " ".join(f"clause NOT( {c}{extra} ) ;" for c in clauses) + " }")
+                      for extra in ("", " & x != y"))
+        for size, above in ((n, False), (n + 1, True)):
             for length, member in ((size, size % 2 == 0), (size - 1, size % 2 == 1)):
                 a = digraph(size, scycle(length).rel("E"))  # 2^size colorings
-                calls.clear()
+                solved.clear()
+                routed.clear()
                 assert (fp_membership(a, fam) is not None) == member
                 assert eval_snp(phi, a) == member
-                assert calls == solved * 2
+                assert solved == [] and routed == [size] * 2 * above
+                routed.clear()
+                assert (fp_membership(a, injective) is not None) == member
+                assert eval_snp(apart, a) == member
+                assert solved == [(size, 2)] * 2 * above and routed == []
 
     def test_ramsey_family_takes_both_paths(self, monkeypatch):
         calls = self.spy_on_solver(monkeypatch)
@@ -314,6 +343,98 @@ class TestMaskBoundary:
         for n in (4, 5, 6):  # 2^16 colorings and more
             fp_membership(clique(n), fam)
         assert calls == [(16, 2), (25, 2), (36, 2)]
+
+
+def colours_of(w, colors):
+    """The class index of each element of a monadic partition lift."""
+    out = [None] * w.n
+    for ci, name in enumerate(colors):
+        for (x,) in w.struct.rel(name):
+            out[x] = ci
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(fam=monadic_forest_families(), n=st.integers(14, 40), data=st.data())
+def test_template_route_agrees_with_the_solver(fam, n, data):
+    # at least 2^14 colourings, so a family with templates takes their route
+    templates = patterns._cached_templates(fam, lambda: patterns._build_templates(fam))
+    assume(templates is not None)
+    vertex = st.integers(0, n - 1)
+    a = digraph(n, data.draw(st.lists(st.tuples(vertex, vertex), min_size=n // 2, max_size=2 * n)))
+    w = fp_membership(a, fam)
+    assert (w is None) == (patterns._nogood_coloring(fam._compiled, a, (1,), len(fam.colors())) is None)
+    if w is not None:
+        assert shadow(w) == a and classify_cover(w.struct, 1) == "partition"
+        assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+
+
+class TestTemplateRoute:
+    """Spaces above the mask limit, for families whose language is a finite union of CSPs."""
+
+    def test_vacuous_patterns_give_the_terminal_template(self, monkeypatch):
+        both = Lift(Structure(BSIG, 1, {"C1": [(0,)], "C2": [(0,)]}), 1, "none")
+        fam = PatternFamily(BSIG, (both,), "plain", 1)
+        [(t, classes)] = patterns._build_templates(fam)
+        assert t.n == 1 and classes == (0,)
+        calls = TestMaskBoundary.spy_on_solver(monkeypatch)
+        w = fp_membership(clique(15), fam)  # 2^15 colourings
+        assert w is not None and w.struct.rel("C1") == {(x,) for x in range(15)}
+        assert calls == []
+
+    def test_zero_element_pattern_has_no_template(self):
+        fam = PatternFamily(BSIG, (Lift(Structure(BSIG, 0), 1, "none"), mono_edge(BSIG, "C1")), "plain", 1)
+        assert patterns._build_templates(fam) == ()
+        assert fp_membership(digraph(14), fam) is None
+        assert patterns._nogood_coloring(fam._compiled, digraph(14), (1,), 2) is None
+
+    def test_uncoloured_point_pattern(self):
+        fam = PatternFamily(BSIG, (Lift(Structure(BSIG, 1), 1, "none"),), "plain", 1)
+        [(t, classes)] = patterns._build_templates(fam)
+        assert t.n == 0 and classes == ()
+        assert fp_membership(digraph(14), fam) is None
+
+    def test_duality_cap_falls_back_to_the_solver(self, monkeypatch):
+        # a C1 path on 9 elements has a dual of 2 * 3^7 * 2 = 8,748 maps
+        path = Lift(Structure(BSIG, 9, {"E": [(i, i + 1) for i in range(8)], "C1": [(i,) for i in range(9)]}), 1, "none")
+        fam = PatternFamily(BSIG, (path, mono_edge(BSIG, "C2")), "plain", 1)
+        assert patterns._TEMPLATE_CAPS["universe_cap"] < 8748
+        assert patterns._build_templates(fam) is None
+        calls = TestMaskBoundary.spy_on_solver(monkeypatch)
+        # a directed path alternates its classes; a loop takes no class
+        for n, loops, member in ((14, [], True), (20, [(0, 0)], False)):
+            w = fp_membership(digraph(n, [*dpath(n - 1).rel("E"), *loops]), fam)
+            assert (w is not None) == member
+            if w is not None:
+                assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+        assert calls == [(14, 2), (20, 2)]
+
+    def test_cache_is_keyed_by_value_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_TEMPLATES", {})
+        monkeypatch.setattr(patterns, "_TEMPLATES_KEPT", 2)
+        built = []
+        build = patterns._build_templates
+        monkeypatch.setattr(patterns, "_build_templates", lambda fam: built.append(fam) or build(fam))
+        for _ in range(3):
+            assert fp_membership(clique(14), three_col_family()) is None  # a fresh, equal family
+        assert built == [three_col_family()]
+        injective = PatternFamily(BSIG, two_col_family().patterns, "injective", 1)
+        for fam in (two_col_family(), injective):
+            assert fp_membership(scycle(14), fam) is not None
+        assert list(patterns._TEMPLATES) == [two_col_family(), injective]
+        assert patterns._TEMPLATES[injective] is None
+
+    @pytest.mark.parametrize("n", [31, 45, 60, 90, 120])
+    def test_planted_three_colourable_graphs(self, n):
+        rng = random.Random(n)
+        fam = three_col_family()
+        arcs = planted_arcs(rng, n, 3 * n, 3)
+        w = fp_membership(digraph(n, arcs), fam)  # 3^n colourings, past the membership cap
+        assert w is not None and shadow(w) == digraph(n, arcs)
+        assert proper_colouring(arcs, colours_of(w, fam.colors()))
+        assert all(lift_occurrence(fam, p, w) is None for p in fam.patterns)
+        k4 = rng.sample(range(n), 4)
+        assert fp_membership(digraph(n, arcs | {(u, v) for u in k4 for v in k4 if u != v}), fam) is None
 
 
 RSIG = make_signature([("E", 2), ("R", 2), ("B", 2)], lift=["R", "B"])

@@ -27,6 +27,7 @@ from homkit.structures import Structure
 from util import (
     DIGRAPH,
     MIXED,
+    bipartite,
     clique,
     digraph,
     mixed_structures,
@@ -113,6 +114,36 @@ class TestEval:
         for a in all_structures(DIGRAPH, 3):
             assert eval_snp(phi, a) == brute(a), a
 
+
+# two-colourability, as the formula that perfbench compiles in its
+# "compiled-two-col" acceptance family
+TWO_COL = """
+snp c3 {
+  input { E/2 }
+  proof { C1/1 C2/1 }
+  clause NOT( E(x,y) & C1(x) & C1(y) ) ;
+  clause NOT( E(x,y) & C2(x) & C2(y) ) ;
+  clause NOT( !C1(z) & !C2(z) ) ;
+}
+"""
+
+
+class TestEvalThroughTemplates:
+    """2n proof bits, past the evaluation cap, decided by a search into the formula's template."""
+
+    @pytest.mark.parametrize("n", [11, 12, 31, 100])
+    def test_paths_and_cycles(self, n):
+        phi = parse_snp(TWO_COL)
+        path = [(i, i + 1) for i in range(n - 1)]
+        assert eval_snp(phi, digraph(n, path)) is True
+        assert eval_snp(phi, digraph(n, path + [(n - 1, 0)])) is (n % 2 == 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(11, 100), data=st.data())
+    def test_random_graphs(self, n, data):
+        vertex = st.integers(0, n - 1)
+        arcs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=n))
+        assert eval_snp(parse_snp(TWO_COL), digraph(n, arcs)) == bipartite(n, arcs)
 
 def _brute_eval(phi, a):
     """Try every choice of proof relations against every clause valuation."""

@@ -65,6 +65,45 @@ def point():
     return digraph(1)
 
 
+def planted_arcs(rng, n, m, k):
+    """Arcs of m random edges, both ways, between the classes of a random
+    k-colouring of n vertices."""
+    colour = [rng.randrange(k) for _ in range(n)]
+    arcs = set()
+    while len(arcs) < 2 * m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if colour[u] != colour[v]:
+            arcs |= {(u, v), (v, u)}
+    return arcs
+
+
+def proper_colouring(arcs, colours) -> bool:
+    """Whether the two ends of every arc have different colours (so no loops)."""
+    return all(colours[u] != colours[v] for u, v in arcs)
+
+
+def bipartite(n, arcs) -> bool:
+    """Whether the graph of the arcs, directions ignored, is 2-colourable, by BFS."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in arcs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    side = [None] * n
+    for root in range(n):
+        if side[root] is not None:
+            continue
+        side[root] = 0
+        queue = [root]
+        for u in queue:
+            for v in nbrs[u]:
+                if side[v] is None:
+                    side[v] = 1 - side[u]
+                    queue.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
+
+
 def naive_valid(a, b, m, mode_tag, noncollapse=(), free_tuples=()):
     """Definition-level check that map m is a mode_tag-homomorphism a -> b."""
     for (name, arity), ra, rb in zip(a.sig.symbols, a.rels, b.rels):
@@ -262,6 +301,35 @@ def monadic_families(draw, uncolored=True):
             if c is not None:
                 rels[c].add((x,))
         pats.append(Lift(Structure(sig, n, rels), 1, "none"))
+    return PatternFamily(sig, tuple(pats), "plain", 1)
+
+
+@st.composite
+def monadic_forest_families(draw):
+    """Plain monadic families over E/2 with 2-3 colours whose patterns are oriented forests.
+
+    One tree of 2-4 elements in each colour, so that no one-colour lift
+    avoids them all, and up to two more patterns of 1-5 elements.  In
+    those each element after the first hangs off an earlier one by an arc
+    either way, or one time in five starts a new tree, and each element
+    gets one colour, or one time in five none.
+    """
+    colors = [f"C{i}" for i in range(draw(st.integers(2, 3)))]
+    sig = make_signature([("E", 2)] + [(c, 1) for c in colors], lift=colors)
+
+    def pattern(n, tree, colored):
+        rels = {name: set() for name, _ in sig.symbols}
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            if tree or draw(st.integers(0, 4)):
+                rels["E"].add(draw(st.sampled_from([(u, v), (v, u)])))
+        for x in range(n):
+            if colored or draw(st.integers(0, 4)):
+                rels[colored or draw(st.sampled_from(colors))].add((x,))
+        return Lift(Structure(sig, n, rels), 1, "none")
+
+    pats = [pattern(draw(st.integers(2, 4)), True, c) for c in colors]
+    pats += [pattern(draw(st.integers(1, 5)), False, None) for _ in range(draw(st.integers(0, 2)))]
     return PatternFamily(sig, tuple(pats), "plain", 1)
 
 
