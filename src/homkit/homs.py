@@ -25,18 +25,30 @@ changes the speed but never the sequence of maps.  The arc pass is skipped
 when every domain is already too large for any revision to prune (into a
 clique, for one).
 
+The generic loop also skips interchangeable values (Freuder, AAAI 1991;
+Van Hentenryck et al., IJCAI 2003).  Two target values are twins when
+swapping them is an automorphism of the target (`_twins`), as any two
+colours of K_k are, or two vertices on one side of K_{m,n}.  When a value
+v fails at a stage (its checks fail, forward checking wipes a domain out,
+or its subtree yields no map) and no earlier stage took v, the stage skips
+v's twins that no earlier stage took.  The swap of v and such a twin fixes
+every earlier value, so it turns each map with the twin at that stage
+into one with v there, and there is none: the skipped values lie in no
+map either.
+
 A search plan is built once per source and mode.  For a source of 1 to 16
 elements it is also emitted as Python: one generator function with a
 `while` loop per stage over the stage's domain bitmask, the stage's checks
 as guards and its forward checks as straight-line ANDs, compiled under
 the file name `<homkit plan>` (16 stays below CPython's limit of 20
 nested blocks).  It makes the same pruning steps as the generic loop,
-which larger sources run, so both give the same sequence.  Compiled
-functions are kept in one module-level dict keyed by the plan's shape:
-its integers, packed into bytes (`_shape_key`).  The text names no symbol
-or element, so a fresh source of a known shape (a `core_of` round, a tree
-dual, a pattern shadow) reuses the function without emitting or compiling
-anything, and the dict gains one entry per distinct shape.
+which larger sources run, except the twin skips, and both give the same
+sequence.  Compiled functions are kept in one module-level dict keyed by
+the plan's shape: its integers, packed into bytes (`_shape_key`).  The
+text names no symbol or element, so a fresh source of a known shape (a
+`core_of` round, a tree dual, a pattern shadow) reuses the function
+without emitting or compiling anything, and the dict gains one entry per
+distinct shape.
 
 A core is found in two steps.  One retraction pass first drops every
 element that another one absorbs pointwise; an element's candidate
@@ -138,6 +150,65 @@ def _target_tables(b: Structure):
     tables = (b.rels, rows, self_masks, full_mask, least)
     b._cache["target"] = tables
     return tables
+
+
+def _twins(b: Structure):
+    """Per target value u, the mask of its twins, or None when no value has one; cached.
+
+    A twin of u is a value w (u among them) such that swapping u and w is
+    an automorphism of b; being twins is an equivalence, so each mask is
+    one class.  Values are grouped by their all-equal bits, their row
+    popcounts and their counts of tuples of arity 3 or more, and each value
+    of a group is tested against one member of each class found so far.
+    Within a group, a binary symbol needs no tuple: the swap keeps it when
+    the out-rows of u and w agree outside {u, w} and so do the in-rows,
+    since equal loops and popcounts then hold (u, w) exactly when (w, u).
+    Of the wider tuples, only those that contain u are mapped through the
+    swap and looked up: equal counts make the ones that contain w follow.
+    """
+    if "twins" in b._cache:
+        return b._cache["twins"]
+    rels, rows, self_masks, _, _ = _target_tables(b)
+    n = b.n
+    binary = [(rows[4 * si], rows[4 * si + 1]) for si, (_, k) in enumerate(b.sig.symbols) if k == 2]
+    wide = [[] for _ in range(n)]  # per value: (relation, tuple) of arity 3 or more that contain it
+    for si, (_, arity) in enumerate(b.sig.symbols):
+        if arity > 2:
+            for t in rels[si]:
+                for x in set(t):
+                    wide[x].append((rels[si], t))
+    groups = {}
+    for u in range(n):
+        key = (tuple(m >> u & 1 for m in self_masks),
+               tuple((out[u].bit_count(), inn[u].bit_count()) for out, inn in binary), len(wide[u]))
+        groups.setdefault(key, []).append(u)
+
+    def swappable(u, w):
+        pair = 1 << u | 1 << w
+        for out, inn in binary:
+            if (out[u] ^ out[w]) & ~pair or (inn[u] ^ inn[w]) & ~pair:
+                return False
+        swap = {u: w, w: u}
+        return all(tuple(swap.get(z, z) for z in t) in r for r, t in wide[u])
+
+    twins = [0] * n
+    for members in groups.values():
+        classes = []  # lists of twins, each tested through its first value
+        for w in members:
+            for cls in classes:
+                if swappable(cls[0], w):
+                    cls.append(w)
+                    break
+            else:
+                classes.append([w])
+        for cls in classes:
+            mask = sum(1 << u for u in cls)
+            for u in cls:
+                twins[u] = mask
+    if all(m & (m - 1) == 0 for m in twins):
+        twins = None
+    b._cache["twins"] = twins
+    return twins
 
 
 def _check_mode(a: Structure, mode: HomMode):
@@ -490,20 +561,48 @@ def _initial_domains(n, plan, tables, avoid):
     return doms
 
 
-def _search_loop(n, plan, tables, doms, injective):
-    """The generic search: the plan's per-stage tables, walked by one loop."""
+def _search_loop(n, plan, b, tables, doms, injective):
+    """The generic search: the plan's per-stage tables, walked by one loop.
+
+    The loop also skips the twins of a failed value (see `_twins`).  Stage
+    s keeps `used[s]`, the values the earlier stages took, and `got[s]`,
+    the number of maps yielded when its current value went one stage
+    deeper.  A value v fails when its checks fail, when forward checking
+    wipes a domain out, or when its subtree ends with no new map; if v is
+    not in `used[s]`, its twins outside `used[s]` leave `rem[s]`.  This is
+    exact: the swap of v and such a twin w is an automorphism of b that
+    fixes every earlier value and the avoided element, which lies in no
+    domain, so it turns each map with w at stage s into one with v there,
+    and the search, complete below stage s, found none.  Only maps that
+    do not exist are skipped, so the sequence of maps does not change.
+    The twin masks are looked up at the first failure, so a search that
+    never backtracks never computes them.
+    """
     order, fwd, checks2, checks, collapse_check, collapse_fwd = plan[3:]
     rels, rows = tables[0], tables[1]
     val = [-1] * n
     dom_stack = [None] * (n + 1)
     rem = [0] * n
+    used = [0] * n
+    got = [0] * n
+    yields = 0
+    failed = False  # whether the value last taken at stage s lies in no map
+    twins = None  # the masks of `_twins`, or () when no value has a twin
     dom_stack[0] = doms
     rem[0] = doms[order[0]]
     s = 0
     while s >= 0:
+        if failed:
+            failed = False
+            v = val[order[s]]
+            if twins is None:
+                twins = _twins(b) or ()
+            if twins and not used[s] >> v & 1:
+                rem[s] &= ~twins[v] | used[s]
         r = rem[s]
         if r == 0:
             s -= 1
+            failed = s >= 0 and got[s] == yields
             continue
         bit = r & (-r)
         rem[s] = r ^ bit
@@ -528,9 +627,11 @@ def _search_loop(n, plan, tables, doms, injective):
                     ok = False
                     break
         if not ok:
+            failed = True
             continue
 
         if s + 1 == n:
+            yields += 1
             yield tuple(val)
             continue
 
@@ -563,10 +664,13 @@ def _search_loop(n, plan, tables, doms, injective):
                         break
                     new[y] = nd
             if wipe:
+                failed = True
                 continue
         else:
             new = cur  # nothing to restrict: share the domain list
+        got[s] = yields
         s += 1
+        used[s] = used[s - 1] | bit
         dom_stack[s] = new
         rem[s] = new[order[s]]
 
@@ -598,7 +702,7 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
     if doms is None:
         return iter(())
     if search is None:
-        return _search_loop(n, plan, tables, doms, mode.tag == "injective")
+        return _search_loop(n, plan, b, tables, doms, mode.tag == "injective")
     return search(tables, doms)
 
 

@@ -18,6 +18,7 @@ from homkit.homs import (
     _shrinking_endo,
     _source_plan,
     _target_tables,
+    _twins,
     all_homs,
     check_homomorphism,
     core_of,
@@ -42,6 +43,7 @@ from homkit.structures import (
 
 from util import (
     MIXED,
+    blown_up_structures,
     clique,
     dcycle,
     degree_order,
@@ -56,9 +58,11 @@ from util import (
     naive_isomorphic,
     naive_retract_dominated,
     naive_shrinking_endo,
+    naive_twins,
     naive_valid,
     point,
     scycle,
+    symmetric_structures,
 )
 
 
@@ -340,6 +344,150 @@ def test_witnesses_equal_the_public_constructor(mode):
         public = Homomorphism(a, b, h.mapping, mode)
         assert h == public and hash(h) == hash(public) and repr(h) == repr(public)
         assert check_homomorphism(h) == (True, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mixed_structures(max_n=6, max_tuples=8), symmetric_structures(), blown_up_structures()))
+def test_twins_match_naive(b):
+    assert _twins(b) == naive_twins(b)
+    assert _twins(b) is b._cache["twins"]
+
+
+def _multipartite(*sizes):
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    return digraph(len(part), [(u, v) for u in range(len(part)) for v in range(len(part)) if part[u] != part[v]])
+
+
+@pytest.mark.parametrize(
+    "b, classes",
+    [
+        *[(clique(k), [(1 << k) - 1] * k) for k in (2, 3, 5)],
+        (_multipartite(2, 3), [0b00011] * 2 + [0b11100] * 3),
+        (_multipartite(1, 2), [0b001, 0b110, 0b110]),
+        *[(digraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)]), None) for k in (1, 2, 4, 6)],
+        *[(dcycle(k), None) for k in (3, 4, 7)],
+        (digraph(2, [(0, 0), (1, 1)]), [0b11, 0b11]),
+    ],
+    ids=["K2", "K3", "K5", "K2,3", "K1,2", "T1", "T2", "T4", "T6", "C3", "C4", "C7", "two-loops"],
+)
+def test_twins_of_named_targets(b, classes):
+    # cliques are one class and complete bipartite graphs two; transitive
+    # tournaments and directed cycles have no twins
+    assert _twins(b) == classes == naive_twins(b)
+
+
+def _clique_with_tail(k, n):
+    """The arcs, both ways, of K_k on 0..k-1 and a path from k-1 through the other elements."""
+    edges = [(i, j) for i in range(k) for j in range(i)] + [(x - 1, x) for x in range(k, n)]
+    return [arc for u, v in edges for arc in ((u, v), (v, u))]
+
+
+@st.composite
+def twin_instances(draw):
+    """A target with twins, and a source for the generic loop.
+
+    The source has 17 to 24 elements, or 5 to 8 for a test that sets the
+    compile limit to 0, so that small ones can be held against `naive_homs`.
+    Most sources are planted: their tuples are drawn from the preimages of
+    the target's under a drawn map (all of them in full mode; the map is
+    one-to-one in injective mode).  A small one may get up to two more
+    tuples, and an avoided element and noncollapse pairs that the planted
+    map breaks.  A large one keeps its planted map, and its target has few
+    elements and no ternary tuples, which are checked only once fully
+    assigned, so that the search without twins, which must list every map
+    when there are few, ends quickly too.  The other sources are K_(k+1)
+    with a tail, relabelled, on 17 to 24 elements, which no map takes into
+    K_k.  Full mode has free slots.
+    """
+    tag = draw(st.sampled_from(["plain", "injective", "full"]))
+    kind = draw(st.sampled_from(["small", "large", "clique"]))
+    if kind == "clique":
+        k, n = draw(st.integers(2, 4)), draw(st.integers(17, 24))
+        perm = draw(st.permutations(range(n)))
+        a = Structure(MIXED, n, {"E": [(perm[u], perm[v]) for u, v in _clique_with_tail(k + 1, n)]})
+        b = Structure(MIXED, k, {"E": [(i, j) for i in range(k) for j in range(k) if i != j]})
+        planted = [None] * n
+    else:
+        large = kind == "large"
+        if tag == "injective":  # enough values for a one-to-one map
+            b = draw(blown_up_structures(parts=(3, 3), copies=(6, 8) if large else (2, 3)))
+        elif large:
+            b = draw(blown_up_structures(parts=(1, 2), copies=(1, 2 if tag == "full" else 3)))
+        else:
+            b = draw(blown_up_structures())
+        if large:
+            b = Structure(MIXED, b.n, {"U": b.rel("U"), "E": b.rel("E")})
+        lo, hi = (17, 24) if large else (5, 8)
+        if tag == "injective":
+            n = draw(st.integers(lo, min(hi, b.n)))
+            planted = draw(st.permutations(range(b.n)))[:n]
+        else:
+            n = draw(st.integers(lo, hi))
+            planted = draw(st.lists(st.integers(0, b.n - 1), min_size=n, max_size=n))
+        rels = {}
+        for (name, arity), rb in zip(MIXED.symbols, b.rels):
+            pre = [t for t in itertools.product(range(n), repeat=arity) if tuple(planted[x] for x in t) in rb]
+            rels[name] = pre if tag == "full" else draw(st.lists(st.sampled_from(pre), max_size=2 * n)) if pre else []
+        if not large:
+            for name, arity in draw(st.lists(st.sampled_from(MIXED.symbols), max_size=2)):
+                rels[name] = [*rels[name], tuple(draw(st.integers(0, n - 1)) for _ in range(arity))]
+        a = Structure(MIXED, n, rels)
+    keep = kind == "large"  # noncollapse pairs and the avoided element keep the planted map
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y and not (keep and planted[x] == planted[y])]
+    noncollapse = draw(st.frozensets(st.sampled_from(pairs), max_size=3)) if pairs else frozenset()
+    free = frozenset()
+    if tag == "full":
+        elem = st.integers(0, n - 1)
+        slot = st.sampled_from(MIXED.symbols).flatmap(lambda s: st.tuples(st.just(s[0]), st.tuples(*[elem] * s[1])))
+        free = draw(st.frozensets(slot, max_size=8))
+    unused = [v for v in range(b.n) if not (keep and v in planted)]
+    avoid = draw(st.none() | st.sampled_from(unused)) if unused else None
+    return a, b, HomMode(tag, noncollapse, free), avoid
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_instances())
+@example((digraph(17, _clique_with_tail(4, 17)), clique(3), PLAIN, None))  # no 3-colouring
+@example((digraph(17, _clique_with_tail(3, 17)), clique(2), PLAIN, None))
+@example((digraph(20, _clique_with_tail(3, 20)), clique(3), PLAIN, 1))
+@example((digraph(18, _clique_with_tail(3, 18)), clique(3), HomMode("plain", frozenset({(0, 17)})), None))
+def test_twin_skips_keep_the_maps(instance):
+    # skipping the twins of a failed value loses no map and reorders none:
+    # the sequence is the one of the search without twins, and, where the
+    # candidates can be listed, the set is the one of exhaustion
+    a, b, mode, avoid = instance
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_NEST_LIMIT", 0)
+        got = list(itertools.islice(hom_maps(a, b, mode, _avoid=avoid), 200))
+        assert _source_plan(a, mode)[0] is None
+        if b.n ** a.n <= (2 ** 12 if mode.tag == "full" else 2 ** 17):  # full mode: every slot, per candidate
+            want = naive_homs(a, b, mode.tag, mode.noncollapse, mode.free_tuples)
+            assert set(hom_maps(a, b, mode, _avoid=avoid)) == {m for m in want if avoid not in m}
+        mp.setattr(homs, "_twins", lambda b: None)
+        assert list(itertools.islice(hom_maps(a, b, mode, _avoid=avoid), 200)) == got
+
+
+def test_twins_wait_for_the_first_failure():
+    # after the arc pass a DAG maps into T_(L+1) without a failed value, so
+    # the target's twins are never looked up; a refutation into K3 fails
+    # values, and caches them
+    rng = random.Random(3)
+    n = 30
+    rank = list(range(n))
+    rng.shuffle(rank)
+    arcs = set()
+    while len(arcs) < 60:
+        u, v = rng.sample(range(n), 2)
+        arcs.add((u, v) if rank[u] < rank[v] else (v, u))
+    longest = [0] * n
+    for u, v in sorted(arcs, key=lambda e: rank[e[0]]):
+        longest[v] = max(longest[v], longest[u] + 1)
+    t = _transitive_tournament(max(longest) + 1)
+    assert hom_exists(digraph(n, arcs), t) is not None
+    assert "twins" not in t._cache
+    k3 = clique(3)
+    assert hom_exists(digraph(20, _clique_with_tail(4, 20)), k3) is None
+    assert k3._cache["twins"] == [0b111] * 3
 
 
 def test_equal_shaped_sources_share_one_compiled_search(monkeypatch):

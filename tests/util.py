@@ -134,6 +134,21 @@ def naive_homs(a, b, mode_tag="plain", noncollapse=(), free_tuples=()):
     return out
 
 
+def naive_twins(b):
+    """Per element u, the mask of the elements w such that swapping u and w
+    maps every relation of b onto itself (u among them); None when no
+    element has such a w but itself."""
+    twins = []
+    for u in range(b.n):
+        mask = 0
+        for w in range(b.n):
+            swap = {u: w, w: u}
+            if all({tuple(swap.get(z, z) for z in t) for t in r} == r for r in b.rels):
+                mask |= 1 << w
+        twins.append(mask)
+    return None if all(m == 1 << u for u, m in enumerate(twins)) else twins
+
+
 def naive_arc_domains(a, b, mode_tag, free_tuples=(), avoid=None):
     """The greatest node- and arc-consistent domains of a -> b as value sets, or
     None when one is empty.
@@ -254,6 +269,36 @@ def symmetric_structures(draw, max_n=9):
         return Structure(MIXED, n, {name: [tuple(perm[x] for x in t) for t in r] for name, r in rels.items()})
     perm = draw(st.permutations(range(n)))
     return digraph(n, [(perm[u], perm[v]) for u, v in arcs])
+
+
+@st.composite
+def blown_up_structures(draw, parts=(1, 3), copies=(1, 3)):
+    """Structures over MIXED whose elements come in classes of twins, relabelled at random.
+
+    A quotient of parts[0] to parts[1] elements is drawn, and each of its
+    elements becomes copies[0] to copies[1] copies.  A tuple over copies is
+    held when its image in the quotient is held and, unless the image is
+    marked loose, the coordinates with one image are distinct copies: a
+    loop blows up to a clique, or, loose, to a clique with loops.  The rule
+    reads only which copies coincide, so any two copies of one element are
+    twins.  Sometimes one more tuple is added, which may split classes.
+    """
+    q = draw(mixed_structures(min_n=parts[0], max_n=parts[1], max_tuples=4))
+    counts = draw(st.lists(st.integers(*copies), min_size=q.n, max_size=q.n))
+    part = [p for p, c in enumerate(counts) for _ in range(c)]
+    n = len(part)
+    rels = {}
+    for (name, arity), r in zip(MIXED.symbols, q.rels):
+        loose = draw(st.sets(st.sampled_from(sorted(r)))) if r else set()
+        rels[name] = [t for t in itertools.product(range(n), repeat=arity)
+                      if tuple(part[x] for x in t) in r
+                      and (tuple(part[x] for x in t) in loose
+                           or all(t[i] != t[j] for i in range(arity) for j in range(i) if part[t[i]] == part[t[j]]))]
+    if draw(st.booleans()):
+        name, arity = draw(st.sampled_from(MIXED.symbols))
+        rels[name].append(tuple(draw(st.integers(0, n - 1)) for _ in range(arity)))
+    perm = draw(st.permutations(range(n)))
+    return Structure(MIXED, n, {name: [tuple(perm[x] for x in t) for t in r] for name, r in rels.items()})
 
 
 @st.composite
