@@ -9,10 +9,12 @@ forward checking on held binary tuples, and tests what is left (absent
 pairs, tuples of arity 3 or more, noncollapse pairs) once the tuple is
 fully assigned.
 
-The plan reads each binary relation once, into adjacency lists per
-constraint code: for each element, its partners in held tuples and, in
-full mode, in absent pairs.  The degrees, the forward checks and the arc
-pass all read these lists.  The arc pass revises an element's partners
+On a source of 5 or more elements the plan reads each binary relation
+once, into adjacency lists per constraint code: for each element, its
+partners in held tuples and, in full mode, in absent pairs.  The arc
+pass, the degrees and the forward checks all read these lists; a smaller
+source, where no arc pass runs, reads its degrees and forward checks
+straight from the tuples.  The arc pass revises an element's partners
 one code at a time, and skips a code whose support (the target values
 its partners may take) is the one it last applied from that element.
 
@@ -36,13 +38,31 @@ every earlier value, so it turns each map with the twin at that stage
 into one with v there, and there is none: the skipped values lie in no
 map either.
 
-A search plan is built once per source and mode.  For a source of 1 to 16
-elements it is also emitted as Python: one generator function with a
-`while` loop per stage over the stage's domain bitmask, the stage's checks
-as guards and its forward checks as straight-line ANDs, compiled under
-the file name `<homkit plan>` (16 stays below CPython's limit of 20
-nested blocks).  It makes the same pruning steps as the generic loop,
-which larger sources run, except the twin skips, and both give the same
+First-map callers (`hom_exists`, `_maps_to` and the avoidance searches
+of `core_of`) try one assignment before searching a source of more than
+16 elements: the least value of every arc-consistent domain.  Every map
+lies inside those domains, so when that assignment is a map it is
+pointwise below every map, hence the least in any element order and the
+search's first map: the witness does not change.  In plain mode, over
+relations of arity at most 2, it is a map whenever the arc pass leaves
+every domain nonempty and the target's relations are min-closed (Jeavons
+& Cooper, AIJ 1995), as those of the transitive tournament T_k are.  T_k
+is the dual of the directed path with k + 1 vertices, and a target has
+tree duality exactly when the arc pass decides it (Feder & Vardi, SIAM
+J. Comput. 1998).  The assignment is not tried when every domain is the
+same, as into a clique, where it would put every element on one value.
+
+A search plan is built once per source and mode.  On a source of more
+than 16 elements it is built in two parts: what the arc pass reads at
+once, and the order and stage tables at the first search that runs on
+it, so a call that the arc pass refutes, or that the least assignment
+answers, never builds them.  A plan of 1 to 16 elements is built whole
+and also emitted as Python: one generator function with a `while` loop
+per stage over the stage's domain bitmask, the stage's checks as guards
+and its forward checks as straight-line ANDs, compiled under the file
+name `<homkit plan>` (16 stays below CPython's limit of 20 nested
+blocks).  It makes the same pruning steps as the generic loop, which
+larger sources run, except the twin skips, and both give the same
 sequence.  Compiled functions are kept in one module-level dict keyed by
 the plan's shape: its integers, packed into bytes (`_shape_key`).  The
 text names no symbol or element, so a fresh source of a known shape (a
@@ -64,6 +84,7 @@ core.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from .structures import (
@@ -234,6 +255,8 @@ def _push(table, i, item):
         table[i] = [item]
 
 
+_head = itemgetter(0)
+
 # Plans of sources with at most this many elements run as emitted loop
 # nests, one `while` per element: CPython refuses more than 20 statically
 # nested blocks in one function.
@@ -244,42 +267,40 @@ _COMPILED = {}
 _PLAN_GLOBALS = {}  # one globals dict for all emitted code, which reads only builtins
 
 
+def _free_slots(a: Structure, mode: HomMode):
+    """The free slots of `mode` as (symbol index, tuple) pairs."""
+    return {(a.sig.index(name), t) for name, t in mode.free_tuples}
+
+
 def _source_plan(a: Structure, mode: HomMode):
     """Compile the source side of a search once per (structure, mode).
 
-    One pass over the tuples reads each binary relation into adjacency
-    lists by code (see `_target_tables`): `lists[x]` holds x's partners, the
-    other ends of x's held tuples u != v under codes 4*symbol and
-    4*symbol + 1.  Outside full mode the same pass collects the all-equal
-    tuples.  An element's degree is its held list lengths plus its loops
-    and the other tuples that contain it.  Stage s assigns element
-    order[s], most tuples first, ties by index.  Once the order is known,
-    the forward checks are read off the held lists, and in full mode the
-    absent pairs that are not free are listed under 4*symbol + 2 and
-    4*symbol + 3.  What each stage enforces:
-    - node[x]: all-equal tuples (x, ..., x), folded into x's initial domain;
-    - fwd[s]: a held binary tuple with one later coordinate y restricts D(y)
-      to rows[code][value] as soon as its earlier coordinate is assigned;
-    - checks2[s]: full mode only, absent pairs u != v whose later coordinate
-      is assigned at s must not map onto a target tuple;
-    - checks[s]: tuples of arity 3 or more, tested once fully assigned;
-    - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
-      the earlier partner and pruned from the later partner's domain.
-    A table that stays empty (checks2 outside full mode, checks without a
-    symbol of arity 3 or more, the collapse tables without noncollapse
-    pairs) is one shared tuple of empty tuples.  A slot of node, checks or
-    the collapse tables gets a list at its first entry; fwd and checks2
-    have a list per stage.
+    One pass over the tuples finds the all-equal ones (for `node`) and, on
+    a source of 5 or more elements, where the arc pass runs, reads each
+    binary relation into adjacency lists by code (see `_target_tables`):
+    `lists[x]` holds x's partners, the other ends of x's held tuples u != v
+    under codes 4*symbol and 4*symbol + 1.  In full mode the absent pairs
+    that are not free are listed the same way, under 4*symbol + 2 and
+    4*symbol + 3.  The same pass counts each element's loops and the tuples
+    of other arities that contain it (on a source of 4 elements or fewer,
+    its binary partners too); `_stage_tables` adds the held list lengths to
+    make the degrees, and builds the order and the per-stage tables.
 
-    The plan is (search, node, watches, order, fwd, checks2, checks,
-    collapse_check, collapse_fwd).  `watches` is the list of (code, lists)
-    for every code with a partner, the adjacency lists themselves: when
-    D(x) shrinks, the arc pass revises lists[x] under each code.  It is
-    None on sources of 4 elements or fewer.  On a source of 1 to
-    `_NEST_LIMIT` elements `search` is the plan emitted as Python
-    (`_emit_search`) and the plan stops after `watches`; `node` is None too
-    when `watches` is, since the emitted code folds it in.  Otherwise
-    `search` is None and `_search_loop` reads the tables.
+    The plan is (search, node, watches) on a source of 1 to `_NEST_LIMIT`
+    elements.  `watches` is the list of (code, lists) for every code with a
+    partner, the adjacency lists themselves: when D(x) shrinks, the arc
+    pass revises lists[x] under each code.  It is None on sources of 4
+    elements or fewer, and so is `node` then, since the emitted code folds
+    it in.  `search` is the plan emitted as Python (`_emit_search`); the
+    stage tables are built at once, since the shape key is made of them.
+
+    On an empty or larger source the plan is the list [None, node, watches,
+    degrees, stages]: only what the arc pass reads is built at once.
+    `stages`, the order and stage tables that `_search_loop` reads, stays
+    None until the first search that runs on the plan (`hom_maps` builds it
+    then, from the lists and the partial `degrees`), so a call that the arc
+    pass refutes, or whose least arc-consistent assignment is a map
+    (`_least_map`), never sorts the elements or builds a stage table.
     """
     partial = mode.noncollapse or mode.free_tuples
     key = ("plan", mode.tag, mode.noncollapse, mode.free_tuples) if partial else mode.tag
@@ -289,14 +310,17 @@ def _source_plan(a: Structure, mode: HomMode):
     _check_mode(a, mode)
     n = a.n
     full = mode.tag == "full"
-    free = {(a.sig.index(name), t) for name, t in mode.free_tuples}
-    deg = [0] * n
+    free = _free_slots(a, mode) if full else ()  # read only in full mode
+    # on sources of 4 elements or fewer the arc pass costs more than it
+    # prunes, so they get no adjacency lists
+    lists = n > 4
+    deg = [0] * n  # loops and tuples of other arities; the held lists' lengths come in _stage_tables
     node = [()] * n  # per element: (symbol, present)
     groups = []  # (code, per element: its partners under it): held codes here, absent ones below
     for si, (_, arity) in enumerate(a.sig.symbols):
         ra = a.rels[si]
         loops = []  # elements with a held all-equal tuple
-        if arity == 2:
+        if arity == 2 and lists:
             heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
             for u, v in ra:
                 if u != v:
@@ -307,7 +331,13 @@ def _source_plan(a: Structure, mode: HomMode):
                     loops.append(u)
             if any(heads):
                 groups += [(4 * si, heads), (4 * si + 1, tails)]
-                deg = [d + len(h) + len(t) for d, h, t in zip(deg, heads, tails)]
+        elif arity == 2:
+            for u, v in ra:
+                deg[u] += 1
+                if u != v:
+                    deg[v] += 1
+                else:
+                    loops.append(u)
         else:
             for t in ra:
                 if t.count(t[0]) == arity:
@@ -318,6 +348,69 @@ def _source_plan(a: Structure, mode: HomMode):
             t = (x,) * arity
             if t in ra or (si, t) not in free:
                 _push(node, x, (si, t in ra))
+    if full and lists:
+        for si, (_, arity) in enumerate(a.sig.symbols):
+            if arity == 2:
+                ra = a.rels[si]
+                heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
+                for u in range(n):
+                    for v in range(n):
+                        # a free slot waives only the absence requirement:
+                        # held tuples are always preserved
+                        if u != v and (u, v) not in ra and (si, (u, v)) not in free:
+                            heads[u].append(v)
+                            tails[v].append(u)
+                if any(heads):
+                    groups += [(4 * si + 2, heads), (4 * si + 3, tails)]
+
+    watches = groups if lists else None
+    if 0 < n <= _NEST_LIMIT:
+        order, *stages = _stage_tables(a, mode, watches, deg)
+        folded = None if lists else node
+        injective = mode.tag == "injective"
+        shape = _shape_key(n, order, folded, injective, stages)
+        search = _COMPILED.get(shape)
+        if search is None:
+            search = _COMPILED[shape] = _compile_search(_emit_search(n, order, folded, injective, stages))
+        plan = (search, node if lists else None, watches)
+    else:
+        plan = [None, node, watches, deg, None]
+    a._cache[key] = plan
+    return plan
+
+
+def _stage_tables(a: Structure, mode: HomMode, groups, deg):
+    """The search order and the per-stage tables of a plan: (order, fwd,
+    checks2, checks, collapse_check, collapse_fwd).
+
+    `groups` are the plan's adjacency lists, or None on a source of 4
+    elements or fewer, whose binary tuples are then read again.  `deg`
+    counts each element's loops and tuples of other arities (and, without
+    lists, its binary partners); the held list lengths complete it.  Stage
+    s assigns element order[s], most tuples first, ties by index.  What
+    each stage enforces:
+    - fwd[s]: a held binary tuple with one later coordinate y restricts D(y)
+      to rows[code][value] as soon as its earlier coordinate is assigned;
+    - checks2[s]: full mode only, absent pairs u != v whose later coordinate
+      is assigned at s must not map onto a target tuple;
+    - checks[s]: tuples of arity 3 or more, tested once fully assigned;
+    - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
+      the earlier partner and pruned from the later partner's domain.
+    (node[x], the all-equal tuples (x, ..., x), is folded into x's initial
+    domain.)  Entries come in the same order from lists and from tuples:
+    by symbol, then by the pair's first element, then as the relation
+    lists its tuples (absent pairs: by second element).  A table that stays
+    empty (checks2 outside full mode, checks without a symbol of arity 3
+    or more, the collapse tables without noncollapse pairs) is one shared
+    tuple of empty tuples.  A slot of checks or the collapse tables gets a
+    list at its first entry; fwd and checks2 have a list per stage.
+    """
+    n = a.n
+    full = mode.tag == "full"
+    pairs = iter(groups or ())
+    for (code, heads), (_, tails) in zip(pairs, pairs):  # each code's lists come with its transpose
+        if code & 2 == 0:  # held pairs: add each element's partners
+            deg = [d + len(h) + len(t) for d, h, t in zip(deg, heads, tails)]
     order = sorted(range(n), key=deg.__getitem__, reverse=True)
     stage_of = [0] * n
     for s, x in enumerate(order):
@@ -325,35 +418,51 @@ def _source_plan(a: Structure, mode: HomMode):
 
     empty = ((),) * n
     fwd = [[] for _ in range(n)]  # per stage: (later element, code)
-    for code, heads in groups[::2]:
-        for u, vs in enumerate(heads):
-            su = stage_of[u]
-            for v in vs:
-                if su < stage_of[v]:
-                    fwd[su].append((v, code))
-                else:
-                    fwd[stage_of[v]].append((u, code + 1))
     checks2 = [[] for _ in range(n)] if full else empty  # per stage: (symbol, u, v) that must stay absent
     checks = [()] * n if any(k > 2 for _, k in a.sig.symbols) else empty  # per stage: (symbol, tuple, present)
-    for si, (_, arity) in enumerate(a.sig.symbols):
-        ra = a.rels[si]
-        if arity == 2 and full:
-            heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
-            for u in range(n):
-                for v in range(n):
-                    # a free slot waives only the absence requirement: held
-                    # tuples are always preserved
-                    if u != v and (u, v) not in ra and (si, (u, v)) not in free:
-                        checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
-                        heads[u].append(v)
-                        tails[v].append(u)
-            if any(heads):
-                groups += [(4 * si + 2, heads), (4 * si + 3, tails)]
-        elif arity > 2:
-            for t in itertools.product(range(n), repeat=arity) if full else ra:
-                present = t in ra
-                if (present or (si, t) not in free) and t.count(t[0]) != arity:
-                    _push(checks, max(map(stage_of.__getitem__, t)), (si, t, present))
+    # the free slots are read only where tuples are: absent pairs without
+    # lists, and tuples of arity 3 or more
+    free = _free_slots(a, mode) if full and (groups is None or checks is not empty) else ()
+    if groups is None:
+        for si, (_, arity) in enumerate(a.sig.symbols):
+            if arity == 2:
+                code, ra = 4 * si, a.rels[si]
+                for u, v in sorted(ra, key=_head):  # stable: within one u, in the relation's order
+                    su, sv = stage_of[u], stage_of[v]
+                    if su < sv:
+                        fwd[su].append((v, code))
+                    elif su > sv:
+                        fwd[sv].append((u, code + 1))
+                if full:  # as `_source_plan` lists them on larger sources
+                    for u in range(n):
+                        for v in range(n):
+                            if u != v and (u, v) not in ra and (si, (u, v)) not in free:
+                                checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
+    else:
+        for code, heads in groups[::2]:
+            if code & 2:  # absent pairs
+                si = code >> 2
+                for u, vs in enumerate(heads):
+                    su = stage_of[u]
+                    for v in vs:
+                        sv = stage_of[v]
+                        checks2[su if su > sv else sv].append((si, u, v))
+                continue
+            for u, vs in enumerate(heads):
+                su = stage_of[u]
+                for v in vs:
+                    if su < stage_of[v]:
+                        fwd[su].append((v, code))
+                    else:
+                        fwd[stage_of[v]].append((u, code + 1))
+    if checks is not empty:
+        for si, (_, arity) in enumerate(a.sig.symbols):
+            if arity > 2:
+                ra = a.rels[si]
+                for t in itertools.product(range(n), repeat=arity) if full else ra:
+                    present = t in ra
+                    if (present or (si, t) not in free) and t.count(t[0]) != arity:
+                        _push(checks, max(map(stage_of.__getitem__, t)), (si, t, present))
 
     collapse_check, collapse_fwd = ([()] * n, [()] * n) if mode.noncollapse else (empty, empty)
     for x, y in mode.noncollapse:
@@ -362,22 +471,7 @@ def _source_plan(a: Structure, mode: HomMode):
             x, y, sx, sy = y, x, sy, sx
         _push(collapse_check, sy, x)
         _push(collapse_fwd, sx, y)
-
-    stages = (fwd, checks2, checks, collapse_check, collapse_fwd)
-    # on sources of 4 elements or fewer the arc pass costs more than it prunes
-    watches = groups if n > 4 else None
-    if 0 < n <= _NEST_LIMIT:
-        folded = None if watches is not None else node
-        injective = mode.tag == "injective"
-        shape = _shape_key(n, order, folded, injective, stages)
-        search = _COMPILED.get(shape)
-        if search is None:
-            search = _COMPILED[shape] = _compile_search(_emit_search(n, order, folded, injective, stages))
-        plan = (search, None if watches is None else node, watches)
-    else:
-        plan = (None, node, watches, order, *stages)
-    a._cache[key] = plan
-    return plan
+    return order, fwd, checks2, checks, collapse_check, collapse_fwd
 
 
 def _shape_key(n, order, node, injective, stages):
@@ -561,8 +655,8 @@ def _initial_domains(n, plan, tables, avoid):
     return doms
 
 
-def _search_loop(n, plan, b, tables, doms, injective):
-    """The generic search: the plan's per-stage tables, walked by one loop.
+def _search_loop(n, stages, b, tables, doms, injective):
+    """The generic search: the plan's order and stage tables, walked by one loop.
 
     The loop also skips the twins of a failed value (see `_twins`).  Stage
     s keeps `used[s]`, the values the earlier stages took, and `got[s]`,
@@ -578,7 +672,7 @@ def _search_loop(n, plan, b, tables, doms, injective):
     The twin masks are looked up at the first failure, so a search that
     never backtracks never computes them.
     """
-    order, fwd, checks2, checks, collapse_check, collapse_fwd = plan[3:]
+    order, fwd, checks2, checks, collapse_check, collapse_fwd = stages
     rels, rows = tables[0], tables[1]
     val = [-1] * n
     dom_stack = [None] * (n + 1)
@@ -675,7 +769,47 @@ def _search_loop(n, plan, b, tables, doms, injective):
         rem[s] = new[order[s]]
 
 
-def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
+def _least_map(a: Structure, mode: HomMode, watches, tables, doms):
+    """The least value of every domain, as a tuple, if it is a map in `mode`; else None.
+
+    Every map lies inside the arc-consistent domains, since pruning drops
+    only values that lie in no map (with an avoided element too, which no
+    domain holds).  So when these least values form a map, it is
+    pointwise at most every map: the least map in any element order, and
+    the search's first map.  They are tested against what the search
+    tests, up to the first failure: held binary tuples and, in full mode,
+    absent pairs, through the plan's lists and the target rows;
+    injectivity; noncollapse pairs; and tuples of arity 3 or more, except
+    in full mode, where their n^arity slots are the search's to test and
+    the shortcut gives up.  All-equal tuples hold by node consistency.
+    """
+    low = [(d & -d).bit_length() - 1 for d in doms]
+    rows = tables[1]
+    for code, lists in watches:
+        if code & 1 == 0:  # kinds 0 and 2, read from the first element of each pair
+            row = rows[code]
+            for u, vs in enumerate(lists):
+                if vs:
+                    r = row[low[u]]
+                    for v in vs:
+                        if not r >> low[v] & 1:
+                            return None
+    if mode.tag == "injective" and len(set(low)) < len(low):
+        return None
+    for x, y in mode.noncollapse:
+        if low[x] == low[y]:
+            return None
+    for (_, arity), ra, rb in zip(a.sig.symbols, a.rels, tables[0]):
+        if arity > 2:
+            if mode.tag == "full":
+                return None  # its n^arity absent slots are the search's to test
+            for t in ra:
+                if tuple(map(low.__getitem__, t)) not in rb:
+                    return None
+    return tuple(low)
+
+
+def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None, _first=False):
     """An iterator over every valid map exactly once, as a mapping tuple.
 
     Maps come in lexicographic order of their images read in the plan's
@@ -683,6 +817,14 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
     `hom_exists` witness.  `_avoid`, a target element, searches into the
     substructure induced on the others without building it.  Arguments are
     checked at the call, before any map is asked for.
+
+    First-map callers (`hom_exists`, `_maps_to`, `_shrinking_endo`) pass
+    `_first`, and may get that first map alone: on a source above
+    `_NEST_LIMIT` whose arc-consistent domains are not all equal, the
+    least assignment is tried before the search (`_least_map`).  Equal
+    domains are skipped because nothing pruned them apart: into K_k, say,
+    where the least assignment puts every element on one value.  The
+    stage tables of the plan are built here, at its first search.
     """
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatchError(
@@ -701,14 +843,27 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None):
     doms = _initial_domains(n, plan, tables, _avoid)
     if doms is None:
         return iter(())
-    if search is None:
-        return _search_loop(n, plan, b, tables, doms, mode.tag == "injective")
-    return search(tables, doms)
+    if search is not None:
+        return search(tables, doms)
+    if _first and doms.count(doms[0]) < n:
+        least = _least_map(a, mode, plan[2], tables, doms)
+        if least is not None:
+            return iter((least,))
+    stages = plan[4]
+    if stages is None:
+        stages = plan[4] = _stage_tables(a, mode, plan[2], plan[3])
+    return _search_loop(n, stages, b, tables, doms, mode.tag == "injective")
 
 
 def hom_exists(a: Structure, b: Structure, mode: HomMode = PLAIN) -> Homomorphism | None:
-    """The first map of `hom_maps`, as a Homomorphism, or None."""
-    m = next(hom_maps(a, b, mode), None)
+    """The first map of `hom_maps`, as a Homomorphism, or None.
+
+    On a source above `_NEST_LIMIT` elements the least value of every
+    arc-consistent domain is tried first: when it is a map, it is pointwise
+    below every map, so it is that first map, found without a search
+    (`_least_map`).
+    """
+    m = next(hom_maps(a, b, mode, _first=True), None)
     return None if m is None else _trusted_homomorphism(a, b, m, mode)
 
 
@@ -720,7 +875,7 @@ def all_homs(a: Structure, b: Structure, mode: HomMode = PLAIN):
 
 def _maps_to(a: Structure, b: Structure, mode: HomMode = PLAIN) -> bool:
     """Whether `a` maps to `b`, for callers that need no witness."""
-    return next(hom_maps(a, b, mode), None) is not None
+    return next(hom_maps(a, b, mode, _first=True), None) is not None
 
 
 def hom_equivalent(a: Structure, b: Structure) -> bool:
@@ -793,7 +948,7 @@ def _shrinking_endo(a: Structure):
     substructure would, so it finds the same first map in `a`'s numbering.
     """
     for x in range(a.n):
-        m = next(hom_maps(a, a, _avoid=x), None)
+        m = next(hom_maps(a, a, _avoid=x, _first=True), None)
         if m is not None:
             return list(m)
     return None

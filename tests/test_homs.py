@@ -13,6 +13,7 @@ from homkit.errors import InvalidStructureError
 from homkit.homs import (
     _NEST_LIMIT,
     _initial_domains,
+    _maps_to,
     _retract_dominated,
     _set_partitions,
     _shrinking_endo,
@@ -43,6 +44,7 @@ from homkit.structures import (
 
 from util import (
     MIXED,
+    UE,
     blown_up_structures,
     clique,
     dcycle,
@@ -337,6 +339,45 @@ def test_compiled_and_generic_searches_agree(instance):
         assert _source_plan(generic, mode)[0] is None
 
 
+def _pair_entries(a, order, full):
+    """fwd and checks2 as the plan documents them: per stage, by symbol,
+    then by the pair's first element, then in the relation's order (absent
+    pairs: by second element)."""
+    stage_of = {x: s for s, x in enumerate(order)}
+    fwd, checks2 = [[] for _ in range(a.n)], [[] for _ in range(a.n)]
+    for si, (_, arity) in enumerate(a.sig.symbols):
+        if arity == 2:
+            for u in range(a.n):
+                for v in [v for x, v in a.rels[si] if x == u and v != u]:
+                    su, sv = stage_of[u], stage_of[v]
+                    fwd[min(su, sv)].append((v, 4 * si) if su < sv else (u, 4 * si + 1))
+                for v in range(a.n) if full else ():
+                    if v != u and (u, v) not in a.rels[si]:
+                        checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
+    return fwd, checks2
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_structures(min_n=1, max_n=4), st.sampled_from(["plain", "injective", "full"]), st.integers(0, 2))
+def test_stage_tables_alike_from_tuples_and_lists(a, tag, extra):
+    # a source of at most 4 elements has no adjacency lists and reads its
+    # forward checks and absent pairs from the tuples; padded with isolated
+    # elements to 5 or more, it reads them from the lists; both give the
+    # entries in one documented order, which the plan shapes, and so the
+    # compiled searches, rest on
+    mode = HomMode(tag)
+    padded = Structure(a.sig, 5 + extra, dict(zip(a.sig.names, a.rels)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_NEST_LIMIT", 0)
+        small, large = _source_plan(a, mode), _source_plan(padded, mode)
+        order, *tables = homs._stage_tables(a, mode, small[2], small[3])
+        order2, *tables2 = homs._stage_tables(padded, mode, large[2], large[3])
+    assert small[2] is None and large[2] is not None
+    assert order2[:a.n] == order == degree_order(a)
+    for s, o, (fwd, checks2, *_) in ((a, order, tables), (padded, order2, tables2)):
+        assert [list(fwd), [list(c) for c in checks2]] == list(_pair_entries(s, o, tag == "full"))
+
+
 @pytest.mark.parametrize("mode", [PLAIN, INJECTIVE, FULL])
 def test_witnesses_equal_the_public_constructor(mode):
     a, b = dpath(2), clique(4) if mode is not FULL else dcycle(4)
@@ -467,23 +508,30 @@ def test_twin_skips_keep_the_maps(instance):
         assert list(itertools.islice(hom_maps(a, b, mode, _avoid=avoid), 200)) == got
 
 
-def test_twins_wait_for_the_first_failure():
-    # after the arc pass a DAG maps into T_(L+1) without a failed value, so
-    # the target's twins are never looked up; a refutation into K3 fails
-    # values, and caches them
-    rng = random.Random(3)
-    n = 30
+def _random_dag(rng, n, m):
+    """m arcs between random elements of 0..n-1, each oriented along one
+    random ranking, and per element the number of arcs on the longest path
+    that ends there."""
     rank = list(range(n))
     rng.shuffle(rank)
     arcs = set()
-    while len(arcs) < 60:
+    while len(arcs) < m:
         u, v = rng.sample(range(n), 2)
         arcs.add((u, v) if rank[u] < rank[v] else (v, u))
     longest = [0] * n
     for u, v in sorted(arcs, key=lambda e: rank[e[0]]):
         longest[v] = max(longest[v], longest[u] + 1)
+    return arcs, longest
+
+
+def test_twins_wait_for_the_first_failure():
+    # after the arc pass the search maps a DAG into T_(L+1) without a failed
+    # value, so the target's twins are never looked up; a refutation into
+    # K3 fails values, and caches them
+    n = 30
+    arcs, longest = _random_dag(random.Random(3), n, 60)
     t = _transitive_tournament(max(longest) + 1)
-    assert hom_exists(digraph(n, arcs), t) is not None
+    assert next(hom_maps(digraph(n, arcs), t), None) is not None
     assert "twins" not in t._cache
     k3 = clique(3)
     assert hom_exists(digraph(20, _clique_with_tail(4, 20)), k3) is None
@@ -597,6 +645,170 @@ def test_long_propagation_on_dag():
     assert _initial_domains(n, plan, _target_tables(_transitive_tournament(top)), None) is None
 
 
+def test_arc_pass_answers_dags_without_stage_tables(monkeypatch):
+    # T_k is the dual of the directed path on k + 1 elements, and the arc
+    # pass decides it: it refutes T_L outright, and into T_(L+1) the least
+    # arc-consistent assignment, each vertex at the length of the longest
+    # path into it, is a map; neither call sorts the source or builds a
+    # stage table
+    n = 80
+    arcs, longest = _random_dag(random.Random(8), n, 160)
+    top = max(longest)
+    g = digraph(n, arcs)
+
+    def refuse(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(homs, "_search_loop", refuse)
+    monkeypatch.setattr(homs, "_stage_tables", refuse)
+    assert hom_exists(g, _transitive_tournament(top)) is None
+    h = hom_exists(g, _transitive_tournament(top + 1))
+    ok, why = check_homomorphism(h)
+    assert ok, why
+    assert h.mapping == tuple(longest)
+    assert _source_plan(g, PLAIN)[4] is None
+
+
+@st.composite
+def least_map_instances(draw, sizes=(17, 30)):
+    """A source of sizes[0] to sizes[1] elements, a target, a mode and a
+    target element to avoid or None.
+
+    Most targets are min-closed: a transitive tournament or a directed
+    path, sometimes with a loop at 0, over U/1 and E/2 with a random U.
+    In plain mode, into those the least arc-consistent assignment is a map
+    whenever any is.  The others are random, over U/1, E/2 and T/3 outside
+    full mode.  The source's tuples are preimages of the target's under a
+    planted map (all of them in full mode; the map is one-to-one in
+    injective mode).  Noncollapse pairs, free slots (full mode) and the
+    avoided element are drawn at random.  For the oracle sizes (up to 7
+    elements) the target is small enough that `naive_homs` lists every
+    candidate, and up to two random tuples may break the planted map.  A
+    larger source keeps its planted map, so that no search has to refute
+    (its noncollapse pairs and avoided element keep it too), except that in
+    plain mode, into a min-closed target without noncollapse pairs, where
+    the arc pass decides, it may get the random tuples as well.  Where the
+    arc pass does not decide (a random target, injective mode), a large
+    source outside full mode keeps its tuples among its first 8 elements.
+    """
+    tag = draw(st.sampled_from(["plain", "injective", "full"]))
+    kind = draw(st.sampled_from(["tournament", "path", "random"]))
+    small = sizes[1] <= 7
+    if tag == "injective":
+        n = sizes[0] if small else draw(st.integers(*sizes))
+        k = draw(st.integers(n, n + 1)) if small else n + 2
+    else:
+        n = draw(st.integers(*sizes))
+        k = draw(st.integers(2, (4 if n <= 6 else 3) if small else 6))
+    sig = MIXED if kind == "random" and tag != "full" else UE
+    values = st.integers(0, k - 1)
+    if kind == "random":
+        rels = {name: draw(st.sets(st.tuples(*[values] * arity), max_size=2 * k)) for name, arity in sig.symbols}
+    else:
+        step = [(i, i + 1) for i in range(k - 1)]
+        arcs = [(i, j) for i in range(k) for j in range(i + 1, k)] if kind == "tournament" else step
+        rels = {"U": [(v,) for v in draw(st.sets(values, min_size=1))], "E": arcs + draw(st.sampled_from([[], [(0, 0)]]))}
+    b = Structure(sig, k, rels)
+    planted = draw(st.permutations(range(k)))[:n] if tag == "injective" else draw(st.lists(values, min_size=n, max_size=n))
+    preimages = [[x for x in range(n) if planted[x] == v] for v in range(k)]
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y and (small or planted[x] != planted[y])]
+    noncollapse = draw(st.frozensets(st.sampled_from(pairs), max_size=3)) if pairs else frozenset()
+    rels = {}
+    # the elements outside the pool are isolated and come last in the search
+    # order, so a failed value never sends the search back through them
+    pool = n if small or tag == "full" or (tag == "plain" and kind != "random") else 8
+    for (name, arity), rb in zip(sig.symbols, b.rels):
+        pre = sorted(t for image in rb for t in itertools.product(*(preimages[v] for v in image)) if max(t) < pool)
+        rels[name] = pre if tag == "full" else draw(st.lists(st.sampled_from(pre), max_size=2 * n)) if pre else []
+    if small or tag == "plain" and kind != "random" and not noncollapse:
+        for name, arity in draw(st.lists(st.sampled_from(sig.symbols), max_size=2)):
+            rels[name] = [*rels[name], tuple(draw(st.integers(0, n - 1)) for _ in range(arity))]
+    a = Structure(sig, n, rels)
+    free = frozenset()
+    if tag == "full":
+        elem = st.integers(0, n - 1)
+        slot = st.sampled_from(sig.symbols).flatmap(lambda s: st.tuples(st.just(s[0]), st.tuples(*[elem] * s[1])))
+        free = draw(st.frozensets(slot, max_size=8))
+    unused = [v for v in range(k) if small or v not in planted]
+    avoid = draw(st.none() | st.sampled_from(unused)) if unused else None
+    return a, b, HomMode(tag, noncollapse, free), avoid
+
+
+@settings(max_examples=100, deadline=None)
+@given(least_map_instances())
+@example((digraph(18, [(x, x + 1) for x in range(17)]), _transitive_tournament(18), INJECTIVE, None))
+def test_least_assignment_keeps_the_first_maps(instance):
+    # the least arc-consistent assignment, where it is a map, is the first
+    # map of the search: hom_exists, _maps_to, the avoidance search and
+    # core_of give what they give without it
+    a, b, mode, avoid = instance
+
+    def answers():
+        h = hom_exists(a, b, mode)
+        first = next(hom_maps(a, b, mode, _avoid=avoid, _first=True), None)
+        return None if h is None else h.mapping, _maps_to(a, b, mode), first, core_of(a)
+
+    got = answers()
+    assert got[2] == next(hom_maps(a, b, mode, _avoid=avoid), None)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_least_map", lambda *args: None)
+        assert answers() == got
+
+
+@settings(max_examples=200, deadline=None)
+@given(least_map_instances(sizes=(5, 7)))
+@example((
+    digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    _transitive_tournament(5),
+    HomMode("plain", frozenset({(0, 4)})),
+    None,
+))  # the least assignment is the one-to-one map onto 0..4
+@example((digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), _transitive_tournament(6), INJECTIVE, 0))
+@example((
+    Structure(UE, 5, {"E": [(2, 1)]}),
+    Structure(UE, 4, {"U": [(3,)], "E": [(1, 0), (1, 3), (2, 1), (3, 0), (3, 1)]}),
+    FULL,
+    None,
+))  # the least values keep the arc, but put absent pairs onto arcs
+@example((
+    Structure(MIXED, 5, {"U": [(1,)], "T": [(0, 1, 2)]}),
+    Structure(MIXED, 2, {"U": [(1,)], "T": [(0, 1, 1)]}),
+    PLAIN,
+    None,
+))  # the least values miss the triple
+@example((
+    Structure(MIXED, 5, {"U": [(4,)]}),
+    Structure(MIXED, 2, {"U": [(1,)], "T": [(0, 0, 1)]}),
+    FULL,
+    None,
+))  # the least values put absent triples onto a triple: no full map
+def test_least_assignment_is_the_least_map(instance):
+    # on sources small enough to list every candidate: whenever the least
+    # arc-consistent assignment is taken, it is the least map in every
+    # coordinate, and so the least in degree order
+    a, b, mode, avoid = instance
+    taken = []
+    least_map = homs._least_map
+
+    def spy(*args):
+        m = least_map(*args)
+        if m is not None:
+            taken.append(m)
+        return m
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_NEST_LIMIT", 0)
+        mp.setattr(homs, "_least_map", spy)
+        first = next(hom_maps(a, b, mode, _avoid=avoid, _first=True), None)
+        assert _source_plan(a, mode)[0] is None
+    maps = [m for m in naive_homs(a, b, mode.tag, mode.noncollapse, mode.free_tuples) if avoid not in m]
+    order = degree_order(a)
+    assert first == min(maps, key=lambda m: [m[x] for x in order], default=None)
+    for m in taken:
+        assert m == first
+        assert all(m[x] <= other[x] for other in maps for x in range(a.n))
+
+
 @pytest.mark.parametrize(
     "mode, named",
     [
@@ -630,6 +842,23 @@ def test_mode_constraints_may_come_as_a_set_or_list(collection):
     assert list(hom_maps(a, dcycle(3), full)) == expected != []
 
 
+def _dominated_extension(rng, n, arcs, total):
+    """The arcs on 0..n-1 grown to 0..total-1: each new vertex v copies a
+    random nonempty part of some earlier vertex s's in- and out-arcs, so
+    v -> s is a retraction (as perfbench's `dominated_extension` grows its
+    core inputs)."""
+    arcs = set(arcs)
+    for v in range(n, total):
+        s = rng.randrange(v)
+        outs = [y for (x, y) in arcs if x == s]
+        ins = [x for (x, y) in arcs if y == s]
+        picked = [(v, y) for y in outs if rng.random() < 0.6] + [(x, v) for x in ins if rng.random() < 0.6]
+        if not picked:
+            picked = [(v, outs[0])] if outs else [(ins[0], v)]
+        arcs.update(picked)
+    return arcs
+
+
 class TestCores:
     def test_core_of_c4_is_k2(self):
         assert is_isomorphic(core_of(scycle(4)), clique(2))
@@ -657,20 +886,39 @@ class TestCores:
         # a random nonempty part of some earlier vertex s's arcs, so v -> s
         # is a retraction and the core stays C7
         rng = random.Random(seed)
-        arcs = set(scycle(7).rel("E"))
-        for v in range(7, 18):
-            s = rng.randrange(v)
-            outs = [y for (x, y) in arcs if x == s]
-            ins = [x for (x, y) in arcs if y == s]
-            picked = [(v, y) for y in outs if rng.random() < 0.6] + [(x, v) for x in ins if rng.random() < 0.6]
-            if not picked:
-                picked = [(v, outs[0])] if outs else [(ins[0], v)]
-            arcs.update(picked)
+        arcs = _dominated_extension(rng, 7, scycle(7).rel("E"), 18)
         perm = list(range(18))
         rng.shuffle(perm)
         c = core_of(digraph(18, [(perm[x], perm[y]) for x, y in arcs]))
         assert c.n == 7
         assert naive_isomorphic(c, scycle(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([clique(2), clique(3), scycle(5), dcycle(3), dpath(2)]),
+    st.integers(5, 6),
+    st.randoms(use_true_random=False),
+    st.sets(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=10).map(lambda arcs: (5, arcs)),
+)
+@example(scycle(5), 6, random.Random(1), (5, set(scycle(5).rel("E"))))
+def test_maps_into_dominated_extensions_match_naive(core, total, rng, source):
+    # a target grown by dominated elements keeps the answers of its core;
+    # the generic path (arc pass, least assignment, search) agrees with
+    # exhaustion on whether a map exists and on the witness
+    arcs = sorted(_dominated_extension(rng, core.n, core.rel("E"), total))
+    perm = list(range(total))
+    rng.shuffle(perm)
+    b = digraph(total, [(perm[x], perm[y]) for x, y in arcs])
+    a = digraph(*source)
+    maps = naive_homs(a, b)
+    order = degree_order(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(homs, "_NEST_LIMIT", 0)
+        assert _maps_to(a, b) == bool(maps)
+        h = hom_exists(a, b)
+        assert _source_plan(a, PLAIN)[0] is None
+    assert (None if h is None else h.mapping) == min(maps, key=lambda m: [m[x] for x in order], default=None)
 
 
 @settings(max_examples=300, deadline=None)
