@@ -821,10 +821,11 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None, 
     First-map callers (`hom_exists`, `_maps_to`, `_shrinking_endo`) pass
     `_first`, and may get that first map alone: on a source above
     `_NEST_LIMIT` whose arc-consistent domains are not all equal, the
-    least assignment is tried before the search (`_least_map`).  Equal
-    domains are skipped because nothing pruned them apart: into K_k, say,
-    where the least assignment puts every element on one value.  The
-    stage tables of the plan are built here, at its first search.
+    least assignment is tried before the search (`_least_map`), when the
+    plan has the adjacency lists that test it.  Equal domains are skipped
+    because nothing pruned them apart: into K_k, say, where the least
+    assignment puts every element on one value.  The stage tables of the
+    plan are built here, at its first search.
     """
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatchError(
@@ -845,7 +846,7 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None, 
         return iter(())
     if search is not None:
         return search(tables, doms)
-    if _first and doms.count(doms[0]) < n:
+    if _first and plan[2] is not None and doms.count(doms[0]) < n:
         least = _least_map(a, mode, plan[2], tables, doms)
         if least is not None:
             return iter((least,))

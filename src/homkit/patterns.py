@@ -9,22 +9,24 @@ compiles its patterns' shadows, color maps and modes once, on first use,
 and patterns that share a shadow and a mode share one occurrence search.
 The members of such a group are compacted once: a partial pattern
 written out as all its completions merges back into one shorter member
-(`_compact`).  Each compacted group is then emitted as Python, two walker
-functions compiled under the file name `<homkit walker>` and kept in one
-module-level dict keyed by the group's encoding, so families rebuilt
-from the same formula reuse them.  On a space of at most `_MASK_LIMIT`
-assignments the mask walker ORs every occurrence's forbidden
-assignments into one integer, a bit per assignment, and the lowest clear
-bit is the lexicographically least avoiding colouring (`_avoiding`).  On
-larger spaces, a plain monadic family whose normalized patterns are
-forests has a language that is a finite union of CSPs: its templates,
-the cored partition powers of the Nešetřil–Tardif duals, are built once
-per family value (`_build_templates`), and one search into each decides
-membership.  Any other family's occurrences are collected by the nogood
-walker as nogoods, and `solve_nogoods` decides them.  SNP evaluation uses
-the same walkers and deciders for its proof bits, and the templates of
-its formula's general translation, as forbidden lifts and MMSNP are one
-problem.
+(`_compact`).  Each compacted group is then emitted as Python, a pair of
+walker functions compiled together under the file name `<homkit walker>`
+and kept in one module-level dict keyed by the group's encoding, so
+families rebuilt from the same formula reuse them.
+
+One decider, `_decide_space`, routes both `fp_membership` and
+`eval_snp`, as forbidden lifts and MMSNP are one problem.  On a space of
+at most `_MASK_LIMIT` assignments the mask walker ORs every occurrence's
+forbidden assignments into one integer, a bit per assignment, and the
+lowest clear bit is the lexicographically least avoiding colouring
+(`_avoiding`).  On larger spaces, a plain monadic family whose
+normalized patterns are forests has a language that is a finite union
+of CSPs: its templates, the cored partition powers of the
+Nešetřil–Tardif duals, are built once per family value
+(`_build_templates`; a formula takes its general translation's), and
+one search into each decides membership.  Any other family's
+occurrences are collected by the nogood walker as nogoods, and
+`solve_nogoods` decides them.
 
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
@@ -36,9 +38,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import numbers
 from dataclasses import dataclass
+from math import log2
 
 from .duality import dedup_hom_equivalent, forest_family_duals, terminal_structure
 from .enumeration import _sweep, all_structures
@@ -177,9 +179,9 @@ def _group_programs(programs, sizes) -> tuple:
     Programs with equal shadow, mode and absent slots have the same
     occurrences in every structure, so they form one group, whose members
     are their cell sets.  Each group comes back as (shadow, HomMode,
-    walkers), in order of first appearance; `_walker` compacts the members
-    and compiles the walkers, and `_walk_occurrences` and `_avoiding` run
-    them.
+    (nogoods, masks)), in order of first appearance; `_walker` compacts the
+    members and compiles the two walkers, and `_walk_occurrences` and
+    `_avoiding` run them.
     """
     groups = {}
     for sh, mode, absent, cells in programs:
@@ -188,29 +190,9 @@ def _group_programs(programs, sizes) -> tuple:
                  for (sh, mode, absent), members in groups.items())
 
 
-class _Walkers:
-    """The two emitted walkers of one group (see `_emit_walker`).
-
-    `nogoods(maps, rels, spaces, add)` is compiled with the group.
-    `masks(maps, rels, spaces)` is None until `compile_masks` builds it, on
-    the group's first call on a space of at most `_MASK_LIMIT` assignments,
-    so a family used only on large structures never compiles it.
-    """
-
-    __slots__ = ("nogoods", "masks", "_args")
-
-    def __init__(self, args):
-        self._args = args
-        self.nogoods = _compile_search(_emit_walker(*args), "<homkit walker>")
-        self.masks = None
-
-    def compile_masks(self):
-        self.masks = _compile_search(_emit_walker(*self._args, masks=True), "<homkit walker>")
-        return self.masks
-
-
 def _walker(n, mode, absent, members, sizes):
-    """The walkers of one group, from `_WALKERS` when its encoding is known.
+    """The walkers of one group, the pair (nogoods, masks) of `_emit_walker`
+    compiled together, from `_WALKERS` when its encoding is known.
 
     The encoding holds everything the walkers depend on, as plain integers
     and tuples: the shadow size, whether the maps are injective, the
@@ -229,7 +211,9 @@ def _walker(n, mode, absent, members, sizes):
         compact_key = key[:5] + (frozenset(kept),)
         walkers = _WALKERS.get(compact_key)
         if walkers is None:
-            walkers = _Walkers((n, absent, kept, injective, apart))
+            args = (n, absent, kept, injective, apart)
+            walkers = (_compile_search(_emit_walker(*args), "<homkit walker>"),
+                       _compile_search(_emit_walker(*args, masks=True), "<homkit walker>"))
         _WALKERS[key] = _WALKERS[compact_key] = walkers
     return walkers
 
@@ -509,20 +493,20 @@ def _walk_occurrences(programs, a: Structure, spaces):
     """The nogoods that occurrences of compiled programs in `a` impose, or None.
 
     A program, as `_group_programs` builds it, is (shadow, HomMode,
-    walkers).  Every map `hom_maps` yields from the shadow into `a` is
-    handed to the nogood walker, which skips the maps that hit an absent
-    slot and adds the nogood of each member, its cells read as literals
-    over `spaces[space]`, to one set.  A member that can never hold at a
-    map adds nothing there, and a member without cells makes every
-    occurrence unconditional, for which the walk returns None.  Otherwise
-    the set of distinct nogoods comes back in no particular order, which
-    `solve_nogoods` does not depend on.
+    (nogoods, masks)).  Every map `hom_maps` yields from the shadow into
+    `a` is handed to the nogood walker, which skips the maps that hit an
+    absent slot and adds the nogood of each member, its cells read as
+    literals over `spaces[space]`, to one set.  A member that can never
+    hold at a map adds nothing there, and a member without cells makes
+    every occurrence unconditional, for which the walk returns None.
+    Otherwise the set of distinct nogoods comes back in no particular
+    order, which `solve_nogoods` does not depend on.
     """
     rels = a.rels
     nogoods = set()
     add = nogoods.add
-    for sh, mode, walkers in programs:
-        if walkers.nogoods(hom_maps(sh, a, mode), rels, spaces, add):
+    for sh, mode, (walk, _) in programs:
+        if walk(hom_maps(sh, a, mode), rels, spaces, add):
             return None
     return nogoods
 
@@ -585,8 +569,8 @@ def _avoiding(programs, a: Structure, arities, k: int) -> int:
     spaces, full = hit
     rels = a.rels
     forbidden = 0
-    for sh, mode, walkers in programs:
-        f = (walkers.masks or walkers.compile_masks())(hom_maps(sh, a, mode), rels, spaces)
+    for sh, mode, (_, masks) in programs:
+        f = masks(hom_maps(sh, a, mode), rels, spaces)
         if f is True:
             return 0
         forbidden |= f
@@ -663,37 +647,56 @@ def _template_coloring(templates, a: Structure):
     return None
 
 
+def _decide_space(owner, build, a: Structure, arities, nvars: int, k: int, bits_cap, witness=True):
+    """An assignment avoiding every occurrence of `owner._compiled` in `a`, or None.
+
+    The space holds `nvars` variables with k values each, one per
+    arities[i]-tuple of `a` in space i (see `_index_spaces`).  `owner` is
+    a family or a formula, `build(owner)` makes its templates, and the
+    route is the one `fp_membership` describes.  Without `witness`, a
+    space of at most `_MASK_LIMIT` assignments answers the nonzero mask
+    of `_avoiding` instead of a list.
+    """
+    small = k == 1 or nvars <= _MASK_BITS and k ** nvars <= _MASK_LIMIT
+    if not small:
+        templates = _cached_templates(owner, lambda: build(owner))
+        if templates is not None:
+            return _template_coloring(templates, a)
+    if nvars * log2(k) > bits_cap:
+        raise GuardExceededError(f"{k}^{nvars} assignments exceed the cap of 2^{bits_cap}")
+    if not small:
+        return _nogood_coloring(owner._compiled, a, arities, k)
+    if witness:
+        return _least_coloring(owner._compiled, a, arities, k)
+    return _avoiding(owner._compiled, a, arities, k) or None
+
+
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
     """A partition lift of `a` avoiding every pattern, or None.
 
     Search space: one variable per r-tuple of `a`, one value per lift
     symbol; every mode-respecting occurrence of a pattern shadow forbids
-    the colors of its colored r-tuples' images.  A space of at most
-    `_MASK_LIMIT` colorings is decided on one bitmask by `_avoiding`, and
-    the witness is then the lexicographically least avoiding coloring, the
-    r-tuples in `itertools.product` order.  On a larger space, a family
-    whose language is a finite union of CSPs (see `_build_templates`,
-    decided on the first such call and cached by the family's value) is
-    decided by searching `a` into its templates in turn, and the first map
-    found colors the witness.  Any other family collects the occurrences
-    as nogoods, and `solve_nogoods` looks for a coloring avoiding them
-    all; `bits_cap` bounds that space, and the mask path's.
+    the colors of its colored r-tuples' images.  `_decide_space` takes one
+    of three routes, which `eval_snp` shares:
+    - a space of at most `_MASK_LIMIT` colorings is decided on one bitmask
+      by `_avoiding`, and the witness is the lexicographically least
+      avoiding coloring, the r-tuples in `itertools.product` order;
+    - on a larger space, a family whose language is a finite union of CSPs
+      (see `_build_templates`, decided on the first such call and kept in
+      `_TEMPLATES` by the family's value) is decided by searching `a` into
+      its templates in turn, and the first map found colors the witness;
+    - any other family collects the occurrences as nogoods, and
+      `solve_nogoods` looks for a coloring avoiding them all.
+    `bits_cap` bounds the log2 of the space on the first and the last
+    route, not on the templates': above it, GuardExceededError.
     """
     if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
     colors = fam.colors()
     if not colors:
         raise ValueError("family signature has no lift symbols")
-    r, k = fam.lift_arity, len(colors)
-    nvars = a.n ** r
-    small = k == 1 or nvars <= _MASK_BITS and k ** nvars <= _MASK_LIMIT
-    templates = None if small else _cached_templates(fam, lambda: _build_templates(fam))
-    if templates is not None:
-        coloring = _template_coloring(templates, a)
-    else:
-        if nvars * math.log2(k) > bits_cap:
-            raise GuardExceededError(f"{k}^{nvars} colorings exceed the membership cap")
-        coloring = (_least_coloring if small else _nogood_coloring)(fam._compiled, a, (r,), k)
+    r = fam.lift_arity
+    coloring = _decide_space(fam, _build_templates, a, (r,), a.n ** r, len(colors), bits_cap)
     if coloring is None:
         return None
     return _partition_witness(fam, a, itertools.product(range(a.n), repeat=r), coloring)

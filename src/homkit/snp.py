@@ -5,15 +5,11 @@ over a universal first-order conjunction of negated clauses; each clause
 splits into input atoms, proof atoms, and inequalities.  Clause variables
 are scoped per clause.  Model checking is exact: each clause compiles
 once into a shadow, and `eval_snp` walks the clause shadows with
-`hom_maps` through the membership walker, one search per shadow shared by
-clauses with the same inequalities and negated input atoms, each
-occurrence forbidding its proof part over the proof bits, with k = 2:
-on one bitmask for at most `patterns._MASK_LIMIT` proof choices, as
-nogoods for `solve_nogoods` beyond.  Beyond the mask limit, a monotone,
-inequality-free formula with monadic proof symbols whose general
-translation has templates (`patterns._build_templates`) is decided by a
-search into them instead.  The translations read clauses as evaluation
-does.
+`hom_maps` through the membership walkers, one search per shadow shared
+by clauses with the same inequalities and negated input atoms, each
+occurrence forbidding its proof part over the proof bits.  The proof
+bits are decided by `patterns._decide_space`, on the route of
+`fp_membership`.  The translations read clauses as evaluation does.
 """
 
 from __future__ import annotations
@@ -24,17 +20,7 @@ from dataclasses import dataclass
 
 from .errors import GuardExceededError, ParseError, SignatureMismatchError
 from .homs import _set_partitions
-from .patterns import (
-    _MASK_BITS,
-    PatternFamily,
-    _avoiding,
-    _build_templates,
-    _cached_templates,
-    _dedup_lifts,
-    _group_programs,
-    _nogood_coloring,
-    _template_coloring,
-)
+from .patterns import PatternFamily, _build_templates, _decide_space, _dedup_lifts, _group_programs
 from .structures import HomMode, Lift, Signature, Structure, _interned
 from .textio import TokenStream, tokenize
 
@@ -251,28 +237,14 @@ def eval_snp(phi: SNPFormula, a: Structure, bits_cap: int = EVAL_BITS_CAP):
     """Does some choice of proof relations satisfy every clause on `a`?
 
     One proof bit per tuple of each proof symbol, the symbols one after the
-    other.  With at most `patterns._MASK_LIMIT` choices the answer is
-    whether the clause occurrences forbid them all, read on one bitmask
-    (`patterns._avoiding`).  With more, a formula whose general
-    translation has templates (see `_formula_templates`, built on the
-    first such call and cached by the formula's value) holds on `a` iff
-    `a` maps into one of them; for any other formula `solve_nogoods`
-    decides the nogoods, and `bits_cap` bounds that space and the mask
-    path's.
+    other, decided as `patterns._decide_space` decides a colouring space
+    with two values, the templates being `_formula_templates`.
     """
     if a.sig is not phi.input_sig and a.sig != phi.input_sig:
         raise SignatureMismatchError("structure signature differs from the formula's input part")
     arities = phi._arities
-    bits = sum(a.n ** par for par in arities)
-    small = bits <= _MASK_BITS
-    templates = None if small else _cached_templates(phi, lambda: _formula_templates(phi))
-    if templates is not None:
-        return _template_coloring(templates, a) is not None
-    if bits > bits_cap:
-        raise GuardExceededError(f"{bits} proof bits exceed the evaluation cap of {bits_cap}")
-    if small:
-        return _avoiding(phi._compiled, a, arities, 2) != 0
-    return _nogood_coloring(phi._compiled, a, arities, 2) is not None
+    bits = sum(map(a.n.__pow__, arities))
+    return _decide_space(phi, _formula_templates, a, arities, bits, 2, bits_cap, witness=False) is not None
 
 
 def _formula_templates(phi: SNPFormula):

@@ -132,26 +132,24 @@ def _parse_signature(ts: TokenStream) -> tuple[str, Signature]:
     return name, _interned(tuple(symbols), frozenset(lift))
 
 
-def _parse_tuple(ts: TokenStream, elem_ids, tok_where):
-    """A tuple '(a,b,...)' or a bare element name (unary shorthand)."""
-    if ts.at("("):
-        ts.next()
-        coords = []
-        while True:
-            tok = ts.expect_kind("name")
-            if tok.text not in elem_ids:
-                raise ParseError(f"element {tok.text!r} not in universe", tok.line, tok.column)
-            coords.append(elem_ids[tok.text])
-            if ts.at(","):
-                ts.next()
-                continue
-            break
-        ts.expect(")")
-        return tuple(coords)
-    tok = ts.expect_kind("name")
+def _element(tok, elem_ids) -> int:
+    """The index of the element that the name token `tok` names."""
     if tok.text not in elem_ids:
         raise ParseError(f"element {tok.text!r} not in universe", tok.line, tok.column)
-    return (elem_ids[tok.text],)
+    return elem_ids[tok.text]
+
+
+def _parse_tuple(ts: TokenStream, elem_ids):
+    """A tuple '(a,b,...)' or a bare element name (unary shorthand)."""
+    if not ts.at("("):
+        return (_element(ts.expect_kind("name"), elem_ids),)
+    ts.next()
+    coords = [_element(ts.expect_kind("name"), elem_ids)]
+    while ts.at(","):
+        ts.next()
+        coords.append(_element(ts.expect_kind("name"), elem_ids))
+    ts.expect(")")
+    return tuple(coords)
 
 
 def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
@@ -192,7 +190,7 @@ def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
                     sym = ts.expect_kind("name")
                     if sym.text not in sig.names:
                         raise ParseError(f"unknown symbol {sym.text!r}", sym.line, sym.column)
-                    t = _parse_tuple(ts, elem_ids, sym)
+                    t = _parse_tuple(ts, elem_ids)
                     if len(t) != sig.arity(sym.text):
                         raise ParseError(
                             f"{sym.text}-tuple of arity {len(t)}, expected {sig.arity(sym.text)}",
@@ -202,15 +200,12 @@ def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
                     free.add((sym.text, t))
                 else:
                     x = ts.expect_kind("name")
-                    if x.text not in elem_ids:
-                        raise ParseError(f"element {x.text!r} not in universe", x.line, x.column)
+                    i = _element(x, elem_ids)
                     ts.expect("!=")
-                    y = ts.expect_kind("name")
-                    if y.text not in elem_ids:
-                        raise ParseError(f"element {y.text!r} not in universe", y.line, y.column)
-                    if x.text == y.text:
+                    j = _element(ts.expect_kind("name"), elem_ids)
+                    if i == j:
                         raise ParseError(f"constraint {x.text} != {x.text} can never hold", x.line, x.column)
-                    noncollapse.add(tuple(sorted((elem_ids[x.text], elem_ids[y.text]))))
+                    noncollapse.add((min(i, j), max(i, j)))
             ts.expect("}")
         else:
             if key.text not in sig.names:
@@ -220,7 +215,7 @@ def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
             ts.expect("{")
             tuples = set()
             while not ts.at("}"):
-                t = _parse_tuple(ts, elem_ids, key)
+                t = _parse_tuple(ts, elem_ids)
                 if len(t) != arity:
                     raise ParseError(
                         f"{key.text}-tuple of arity {len(t)}, expected {arity}", key.line, key.column
@@ -237,6 +232,13 @@ def _parse_body(ts: TokenStream, sig: Signature, allow_constraints=False):
     return names, rels, frozenset(noncollapse), frozenset(free)
 
 
+def _signature(tok, doc: Document) -> Signature:
+    """The signature of `doc` that the name token `tok` names."""
+    if tok.text not in doc.signatures:
+        raise ParseError(f"unknown signature {tok.text!r}", tok.line, tok.column)
+    return doc.signatures[tok.text]
+
+
 def parse_document(text: str) -> Document:
     ts = TokenStream(tokenize(text))
     doc = Document()
@@ -250,10 +252,7 @@ def parse_document(text: str) -> Document:
             kind = tok.text
             name = ts.expect_kind("name").text
             ts.expect(":")
-            signame = ts.expect_kind("name")
-            if signame.text not in doc.signatures:
-                raise ParseError(f"unknown signature {signame.text!r}", signame.line, signame.column)
-            sig = doc.signatures[signame.text]
+            sig = _signature(ts.expect_kind("name"), doc)
             names, rels, noncollapse, free = _parse_body(ts, sig, allow_constraints=(kind == "lift"))
             struct = Structure(sig, len(names), rels, names)
             if kind == "structure":
@@ -268,9 +267,7 @@ def parse_document(text: str) -> Document:
             name = ts.expect_kind("name").text
             ts.expect(":")
             signame = ts.expect_kind("name")
-            if signame.text not in doc.signatures:
-                raise ParseError(f"unknown signature {signame.text!r}", signame.line, signame.column)
-            sig = doc.signatures[signame.text]
+            sig = _signature(signame, doc)
             if not sig.lift_names:
                 raise ParseError("family signature needs lift symbols", signame.line, signame.column)
             ts.expect("{")

@@ -326,16 +326,21 @@ def compile_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(compile_instances())
 @example((digraph(3, [(0, 1)]), digraph(3, [(0, 1)]), FULL, None))  # absent pairs onto arcs
+@example((digraph(2, [(0, 0), (0, 1)]), digraph(2, [(0, 0), (0, 1)]), PLAIN, None))  # unequal domains, no lists
 def test_compiled_and_generic_searches_agree(instance):
     # the emitted loop nest and the generic loop run one plan: the same maps,
-    # in the same order, whatever the source size, mode and constraints
+    # in the same order, and the same first map, whatever the source size,
+    # mode and constraints
     a, b, mode, avoid = instance
     got = list(itertools.islice(hom_maps(a, b, mode, _avoid=avoid), 60))
+    first = next(hom_maps(a, b, mode, _avoid=avoid, _first=True), None)
+    assert first == (got[0] if got else None)
     assert (_source_plan(a, mode)[0] is not None) == (0 < a.n <= _NEST_LIMIT)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(homs, "_NEST_LIMIT", 0)
         generic = Structure(a.sig, a.n, dict(zip(a.sig.names, a.rels)))
         assert list(itertools.islice(hom_maps(generic, b, mode, _avoid=avoid), 60)) == got
+        assert next(hom_maps(generic, b, mode, _avoid=avoid, _first=True), None) == first
         assert _source_plan(generic, mode)[0] is None
 
 

@@ -9,7 +9,7 @@ import tokenize
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from homkit import patterns, snp
+from homkit import patterns
 from homkit.enumeration import all_structures
 from homkit.errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from homkit.homs import hom_equivalent, hom_exists
@@ -306,22 +306,27 @@ class TestMaskBoundary:
             return route(templates, a)
 
         monkeypatch.setattr(patterns, "_template_coloring", spy)
-        monkeypatch.setattr(snp, "_template_coloring", spy)
         return calls
 
-    def test_spaces_at_and_just_above_the_limit(self, monkeypatch):
-        n = patterns._MASK_LIMIT.bit_length() - 1
-        assert 2**n == patterns._MASK_LIMIT
-        solved = self.spy_on_solver(monkeypatch)
-        routed = self.spy_on_templates(monkeypatch)
-        # two-colourability with templates, and the same language on loopless
-        # graphs without: injective mode, and clauses with x != y
+    @staticmethod
+    def two_colourings():
+        """Two-colourability as a family and a formula with templates, and the
+        same language on loopless graphs as two without: injective mode, and
+        clauses with x != y."""
         fam = two_col_family()
         injective = PatternFamily(BSIG, fam.patterns, "injective", 1)
         clauses = ("E(x,y) & P(x) & P(y)", "E(x,y) & !P(x) & !P(y)")
         phi, apart = (parse_snp("snp two { input { E/2 } proof { P/1 } "
                                 + " ".join(f"clause NOT( {c}{extra} ) ;" for c in clauses) + " }")
                       for extra in ("", " & x != y"))
+        return fam, injective, phi, apart
+
+    def test_spaces_at_and_just_above_the_limit(self, monkeypatch):
+        n = patterns._MASK_LIMIT.bit_length() - 1
+        assert 2**n == patterns._MASK_LIMIT
+        solved = self.spy_on_solver(monkeypatch)
+        routed = self.spy_on_templates(monkeypatch)
+        fam, injective, phi, apart = self.two_colourings()
         for size, above in ((n, False), (n + 1, True)):
             for length, member in ((size, size % 2 == 0), (size - 1, size % 2 == 1)):
                 a = digraph(size, scycle(length).rel("E"))  # 2^size colorings
@@ -334,6 +339,26 @@ class TestMaskBoundary:
                 assert (fp_membership(a, injective) is not None) == member
                 assert eval_snp(apart, a) == member
                 assert solved == [(size, 2)] * 2 * above and routed == []
+
+    def test_bits_cap_bounds_the_mask_and_solver_routes(self):
+        # the cap is checked before the mask and the solver routes, never
+        # before the templates, and only a space above it is refused
+        fam, injective, phi, apart = self.two_colourings()
+        n = patterns._MASK_LIMIT.bit_length() - 1
+        for size in (4, n + 1):  # 2^4 colourings on the masks, 2^(n+1) for the solver
+            a = digraph(size, scycle(size).rel("E"))
+            for cap in (-1, 0, size - 1):
+                with pytest.raises(GuardExceededError):
+                    fp_membership(a, injective, bits_cap=cap)
+                with pytest.raises(GuardExceededError):
+                    eval_snp(apart, a, bits_cap=cap)
+            assert fp_membership(a, injective, bits_cap=size) is not None
+            assert eval_snp(apart, a, bits_cap=size)
+        for length in (n, n + 1):
+            a = digraph(n + 1, scycle(length).rel("E"))  # 2^(n+1) colourings
+            for cap in (-1, 0, n):
+                assert (fp_membership(a, fam, bits_cap=cap) is not None) == (length % 2 == 0)
+                assert eval_snp(phi, a, bits_cap=cap) == (length % 2 == 0)
 
     def test_ramsey_family_takes_both_paths(self, monkeypatch):
         calls = self.spy_on_solver(monkeypatch)
@@ -500,15 +525,13 @@ class TestCompactedWalk:
         other = PatternFamily(sig, pats, "plain", 1)
         fam = three_col_family()
         (_, _, walkers), = fam._compiled
-        assert walkers.masks is None
+        nogoods, masks = walkers
         assert fp_membership(clique(3), fam) is not None  # 27 colorings: the mask walker
-        masks = walkers.masks
-        assert masks is not None
         # the group and both of its walkers are looked up before any text is made
         monkeypatch.setattr(patterns, "_emit_walker", lambda *args, **kwargs: pytest.fail("emitted a known group again"))
         (_, _, other_walkers), = other._compiled
-        assert other_walkers is walkers and other_walkers.masks is masks
-        assert walkers.nogoods.__code__.co_filename == masks.__code__.co_filename == "<homkit walker>"
+        assert other_walkers is walkers
+        assert nogoods.__code__.co_filename == masks.__code__.co_filename == "<homkit walker>"
 
         def arc_clique(n):
             return Structure(other.base_sig, n, {"Arc": [(x, y) for x in range(n) for y in range(n) if x != y]})
@@ -516,16 +539,6 @@ class TestCompactedWalk:
         for n in (4, 9):  # 3^4 colorings on the mask walker, 3^9 on the nogood walker
             assert fp_membership(arc_clique(n), other) is None
         assert fp_membership(arc_clique(3), other) is not None
-
-    def test_mask_walker_compiles_on_first_small_space(self, monkeypatch):
-        monkeypatch.setattr(patterns, "_WALKERS", {})
-        fam = three_col_family()
-        (_, _, walkers), = fam._compiled
-        big = digraph(9, [(x, (x + 1) % 9) for x in range(9)])  # 3^9 colorings
-        assert fp_membership(big, fam) is not None
-        assert walkers.masks is None
-        assert fp_membership(dcycle(3), fam) is not None
-        assert walkers.masks is not None
 
     def test_emitted_text_names_no_symbol_color_or_proof(self, monkeypatch):
         texts = []
@@ -541,13 +554,12 @@ class TestCompactedWalk:
           clause NOT( Arc(x,y) & !Mark(y) & Proofy(x) & !Witness(y,x) & x != y ) ;
           clause NOT( Arc(x,y) & Mark(x) & Proofy(x) & Witness(x,x) ) ; }""")
         phi._compiled
-        assert len(texts) == 3  # the nogood walkers, compiled with their groups
-        # the mask walkers, compiled on their first small space
+        assert len(texts) == 6  # both walkers of each of the three groups, compiled with the group
         assert fp_membership(Structure(fam.base_sig, 1), fam) is not None
         assert eval_snp(phi, Structure(phi.input_sig, 1))
-        assert len(texts) == 6
+        assert len(texts) == 6  # and nothing more on the first small spaces
         names = {"Arc", "Mark", "Red", "Blue", "Proofy", "Witness", "named", "x", "y"}
-        fixed = [{"walk", "maps", "rels", "spaces", "add", "frozenset"}] * 3 + [{"walk", "maps", "rels", "spaces", "f"}] * 3
+        fixed = [{"walk", "maps", "rels", "spaces", "add", "frozenset"}, {"walk", "maps", "rels", "spaces", "f"}] * 3
         for text, allowed in zip(texts, fixed):
             for tok in tokenize.generate_tokens(io.StringIO(text).readline):
                 assert tok.type not in (tokenize.STRING, tokenize.COMMENT), tok

@@ -75,6 +75,16 @@ class TestParsing:
         else:
             pytest.fail("expected a parse error")
 
+    @pytest.mark.parametrize("constraint", ["x != z", "z != y"])
+    def test_unknown_element_in_constraints(self, constraint):
+        text = FAMILY_TEXT.replace("x != y", constraint)
+        with pytest.raises(ParseError, match="element 'z' not in universe") as err:
+            parse_family(text)
+        lines = text.splitlines()
+        line = next(i for i, ln in enumerate(lines, 1) if constraint in ln)
+        column = lines[line - 1].index(constraint) + constraint.index("z") + 1
+        assert (err.value.line, err.value.column) == (line, column)
+
     def test_duplicate_tuples_merge(self):
         a = parse_structure(
             "signature d { E/2 }\nstructure A : d { universe = {u,v} ; E = {(u,v), (u,v)} }"
