@@ -28,6 +28,13 @@ one search into each decides membership.  Any other family's
 occurrences are collected by the nogood walker as nogoods, and
 `solve_nogoods` decides them.
 
+Every route hands membership the color classes of the coloring it found,
+one frozenset of r-tuples per color, and the witness lift takes them as
+its lift relations.  On the mask route they depend only on (n, r, k, i),
+for assignment i of the k^(n^r), so they come from a bounded table keyed
+by those four integers (`_mask_classes`), which the few small structures
+of a sweep share.
+
 Witnesses are partition lifts throughout: a covering witness can always
 shed extra classes without creating pattern occurrences in plain and
 injective modes, and the full-mode families produced by the formula
@@ -71,6 +78,15 @@ class PatternFamily:
     patterns: tuple
     mode_tag: str = "plain"
     lift_arity: int = 1
+
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once: `_TEMPLATES`
+        hashes its owner on every call above `_MASK_LIMIT`."""
+        return hash((self.sig, self.patterns, self.mode_tag, self.lift_arity))
 
     def __post_init__(self):
         if self.mode_tag not in ("plain", "injective", "full"):
@@ -160,6 +176,12 @@ _LITERALS = {}
 # entry makes room for a new one.
 _TEMPLATES = {}
 _TEMPLATES_KEPT = 128
+
+# Witness classes of the mask route by (n, r, k, i), the classes that
+# assignment i gives the r-tuples of n elements under k values (see
+# `_mask_classes`); the oldest entry goes out once `_CLASSES_KEPT` are kept.
+_CLASSES = {}
+_CLASSES_KEPT = 256
 
 # The dual universe cap of `_build_templates`, below `tree_dual`'s default:
 # a tree dual's time grows with the square of its universe (the one-colour
@@ -361,6 +383,8 @@ def make_partition_lift(fam: PatternFamily, a: Structure, coloring) -> Lift:
     """Build the lift of `a` whose r-tuples carry the given color indices.
 
     `coloring` maps every r-tuple of `a` to an index into `fam.colors()`.
+    Once checked, it is turned into color classes by `_color_classes`, as
+    the colorings of `fp_membership`'s template and solver routes are.
     """
     if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
@@ -374,19 +398,25 @@ def make_partition_lift(fam: PatternFamily, a: Structure, coloring) -> Lift:
     if len(coloring) != a.n ** r:
         missing = next(t for t in itertools.product(elems, repeat=r) if t not in coloring)
         raise InvalidStructureError(f"tuple {missing} carries no color; not a partition")
-    return _partition_witness(fam, a, coloring, coloring.values())
+    return _partition_witness(fam, a, _color_classes(coloring, coloring.values(), k))
 
 
-def _partition_witness(fam: PatternFamily, a: Structure, slots, coloring) -> Lift:
-    """The partition lift of `a` giving slots[i] the color index coloring[i].
+def _color_classes(slots, coloring, k: int) -> tuple:
+    """The k classes of a coloring, as frozensets: class c holds each slots[i]
+    with coloring[i] == c."""
+    classes = [[] for _ in range(k)]
+    for t, c in zip(slots, coloring):
+        classes[c].append(t)
+    return tuple(map(frozenset, classes))
 
-    Unchecked: the caller passes every r-tuple of `a` exactly once, each
-    with an index in range(len(fam.colors())).
+
+def _partition_witness(fam: PatternFamily, a: Structure, classes) -> Lift:
+    """The partition lift of `a` whose lift relation of color c is classes[c].
+
+    Unchecked: the caller passes one frozenset of r-tuples of `a` per
+    color, every r-tuple in exactly one of them.
     """
-    classes = [[] for _ in fam.colors()]
-    for t, ci in zip(slots, coloring):
-        classes[ci].append(t)
-    pool = [*map(frozenset, classes), *a.rels]  # a.sig is the base part of fam.sig, in its order
+    pool = [*classes, *a.rels]  # a.sig is the base part of fam.sig, in its order
     rels = tuple(map(pool.__getitem__, fam._layout))
     return _trusted_partition_lift(fam.sig, a.n, rels, a.element_names, fam.lift_arity)
 
@@ -582,13 +612,35 @@ def _least_coloring(programs, a: Structure, arities, k: int):
     free = _avoiding(programs, a, arities, k)
     if not free:
         return None
-    i = (free & -free).bit_length() - 1
-    coloring = [0] * sum(a.n ** r for r in arities)
-    j = len(coloring)
+    return _digits((free & -free).bit_length() - 1, sum(a.n ** r for r in arities), k)
+
+
+def _digits(i: int, nvars: int, k: int) -> list:
+    """Assignment i of `_literal_masks` as a list: the `nvars` base-k digits
+    of i, variable 0 the most significant."""
+    coloring = [0] * nvars
+    j = nvars
     while i:
         j -= 1
         i, coloring[j] = divmod(i, k)
     return coloring
+
+
+def _mask_classes(n: int, r: int, k: int, i: int) -> tuple:
+    """The classes of assignment i over the r-tuples of n elements with k
+    values, as `_color_classes` makes them, tuples in `itertools.product`
+    order; kept in `_CLASSES`.
+
+    They depend on the four integers only, so the few small structures of a
+    sweep share them: the digits are decoded on a miss alone.
+    """
+    key = n, r, k, i
+    try:
+        return _CLASSES[key]
+    except KeyError:
+        pass
+    classes = _color_classes(itertools.product(range(n), repeat=r), _digits(i, n ** r, k), k)
+    return _keep(_CLASSES, _CLASSES_KEPT, key, classes)
 
 
 def _nogood_coloring(programs, a: Structure, arities, k: int):
@@ -602,17 +654,22 @@ def _nogood_coloring(programs, a: Structure, arities, k: int):
     return solve_nogoods(sum(a.n ** r for r in arities), k, nogoods)
 
 
+def _keep(table: dict, kept: int, key, entry):
+    """Store `entry` under `key`, first dropping the oldest entry of a table
+    that holds `kept`; returns `entry`."""
+    if len(table) >= kept:
+        del table[next(iter(table))]
+    table[key] = entry
+    return entry
+
+
 def _cached_templates(key, build):
     """The entry of `_TEMPLATES` under `key`, made by `build()` on a miss."""
     try:
         return _TEMPLATES[key]
     except KeyError:
         pass
-    entry = build()
-    if len(_TEMPLATES) >= _TEMPLATES_KEPT:
-        del _TEMPLATES[next(iter(_TEMPLATES))]
-    _TEMPLATES[key] = entry
-    return entry
+    return _keep(_TEMPLATES, _TEMPLATES_KEPT, key, build())
 
 
 def _build_templates(fam: PatternFamily):
@@ -648,27 +705,35 @@ def _template_coloring(templates, a: Structure):
 
 
 def _decide_space(owner, build, a: Structure, arities, nvars: int, k: int, bits_cap, witness=True):
-    """An assignment avoiding every occurrence of `owner._compiled` in `a`, or None.
+    """The classes of an assignment avoiding every occurrence of
+    `owner._compiled` in `a`, or None.
 
     The space holds `nvars` variables with k values each, one per
     arities[i]-tuple of `a` in space i (see `_index_spaces`).  `owner` is
     a family or a formula, `build(owner)` makes its templates, and the
-    route is the one `fp_membership` describes.  Without `witness`, a
-    space of at most `_MASK_LIMIT` assignments answers the nonzero mask
-    of `_avoiding` instead of a list.
+    route is the one `fp_membership` describes.  With `witness`, the one
+    space holds the r-tuples of `a`, arities == (r,), and the answer is
+    the assignment's k classes of r-tuples (`_color_classes`), from
+    `_mask_classes` on a space of at most `_MASK_LIMIT` assignments.
+    Without, it is any true value: the nonzero mask of `_avoiding` or the
+    assignment as a list.
     """
     small = k == 1 or nvars <= _MASK_BITS and k ** nvars <= _MASK_LIMIT
-    if not small:
-        templates = _cached_templates(owner, lambda: build(owner))
-        if templates is not None:
-            return _template_coloring(templates, a)
-    if nvars * log2(k) > bits_cap:
-        raise GuardExceededError(f"{k}^{nvars} assignments exceed the cap of 2^{bits_cap}")
-    if not small:
-        return _nogood_coloring(owner._compiled, a, arities, k)
-    if witness:
-        return _least_coloring(owner._compiled, a, arities, k)
-    return _avoiding(owner._compiled, a, arities, k) or None
+    templates = None if small else _cached_templates(owner, lambda: build(owner))
+    if templates is not None:
+        coloring = _template_coloring(templates, a)
+    else:
+        if nvars * log2(k) > bits_cap:
+            raise GuardExceededError(f"{k}^{nvars} assignments exceed the cap of 2^{bits_cap}")
+        if small:
+            free = _avoiding(owner._compiled, a, arities, k)
+            if not (witness and free):
+                return free or None
+            return _mask_classes(a.n, arities[0], k, (free & -free).bit_length() - 1)
+        coloring = _nogood_coloring(owner._compiled, a, arities, k)
+    if coloring is None or not witness:
+        return coloring
+    return _color_classes(itertools.product(range(a.n), repeat=arities[0]), coloring, k)
 
 
 def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_BITS_CAP):
@@ -680,15 +745,21 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     of three routes, which `eval_snp` shares:
     - a space of at most `_MASK_LIMIT` colorings is decided on one bitmask
       by `_avoiding`, and the witness is the lexicographically least
-      avoiding coloring, the r-tuples in `itertools.product` order;
+      avoiding coloring, the r-tuples in `itertools.product` order; its
+      color classes depend only on (a.n, r, number of colors, index of the
+      coloring), and come from the bounded table `_CLASSES` under those
+      four integers (`_mask_classes`);
     - on a larger space, a family whose language is a finite union of CSPs
       (see `_build_templates`, decided on the first such call and kept in
       `_TEMPLATES` by the family's value) is decided by searching `a` into
       its templates in turn, and the first map found colors the witness;
     - any other family collects the occurrences as nogoods, and
       `solve_nogoods` looks for a coloring avoiding them all.
-    `bits_cap` bounds the log2 of the space on the first and the last
-    route, not on the templates': above it, GuardExceededError.
+    The last two routes turn their coloring into classes by
+    `_color_classes`, and every route's witness is the partition lift
+    with those classes (`_partition_witness`).  `bits_cap` bounds the log2
+    of the space on the first and the last route, not on the templates':
+    above it, GuardExceededError.
     """
     if a.sig is not fam.base_sig and a.sig != fam.base_sig:
         raise SignatureMismatchError("structure signature differs from the family's base part")
@@ -696,10 +767,10 @@ def fp_membership(a: Structure, fam: PatternFamily, bits_cap: int = MEMBERSHIP_B
     if not colors:
         raise ValueError("family signature has no lift symbols")
     r = fam.lift_arity
-    coloring = _decide_space(fam, _build_templates, a, (r,), a.n ** r, len(colors), bits_cap)
-    if coloring is None:
+    classes = _decide_space(fam, _build_templates, a, (r,), a.n ** r, len(colors), bits_cap)
+    if classes is None:
         return None
-    return _partition_witness(fam, a, itertools.product(range(a.n), repeat=r), coloring)
+    return _partition_witness(fam, a, classes)
 
 
 def union_families(f1: PatternFamily, f2: PatternFamily) -> PatternFamily:

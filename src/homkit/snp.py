@@ -62,6 +62,14 @@ class SNPFormula:
     proof: tuple  # ((name, arity), ...)
     clauses: tuple
 
+    def __hash__(self):
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, computed once, as for `PatternFamily`."""
+        return hash((self.input_sig, self.proof, self.clauses))
+
     @functools.cached_property
     def _arities(self) -> tuple:
         return tuple(arity for _, arity in self.proof)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import keyword
@@ -252,7 +253,7 @@ def test_mask_and_nogood_paths_agree(subject, a):
     assert masks == naive_least_coloring(sum(a.n**r for r in arities), k, naive)
     if masks is not None and isinstance(subject, PatternFamily):
         slots = itertools.product(range(a.n), repeat=arities[0])
-        w = patterns._partition_witness(subject, a, slots, masks)
+        w = patterns._partition_witness(subject, a, patterns._color_classes(slots, masks, k))
         assert all(lift_occurrence(subject, p, w) is None for p in subject.patterns)
 
 
@@ -568,6 +569,103 @@ class TestCompactedWalk:
                     assert keyword.iskeyword(tok.string) or tok.string in allowed or re.fullmatch(r"[rsvx]\d+", tok.string), tok
 
 
+def checked_witness(fam, a, coloring):
+    """The partition lift of `a` whose r-tuples, in `itertools.product` order,
+    take the color indices `coloring` lists, by the checked constructors."""
+    r, colors = fam.lift_arity, fam.colors()
+    rels = {name: a.rel(name) for name in a.sig.names} | {name: set() for name in colors}
+    for t, ci in zip(itertools.product(range(a.n), repeat=r), coloring):
+        rels[colors[ci]].add(t)
+    return Lift(Structure(fam.sig, a.n, rels, a.element_names), r, "partition")
+
+
+def same_lift(w, expected):
+    """Equal lifts with the same element names, which `Structure` equality ignores."""
+    return w == expected and w.struct.element_names == expected.struct.element_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=st.one_of(shadow_sharing_families(), partial_families()), a=ue_structures())
+def test_witness_is_the_checked_lift_of_the_least_coloring(fam, a):
+    r, k = fam.lift_arity, len(fam.colors())
+    nvars = a.n**r
+    if k == 1 or k**nvars <= patterns._MASK_LIMIT:
+        coloring = naive_least_coloring(nvars, k, naive_family_nogoods(fam, a))
+    else:  # arity 2 on 3 elements with 3 colors: the solver's coloring, which need not be the least
+        coloring = patterns._nogood_coloring(fam._compiled, a, (r,), k)
+    patterns._CLASSES.clear()
+    for _ in ("cold", "warm"):
+        w = fp_membership(a, fam)
+        assert (w is None) == (coloring is None)
+        if w is not None:
+            assert same_lift(w, checked_witness(fam, a, coloring))
+
+
+class TestWitnessClasses:
+    """Witness lifts built from color classes, on the mask route from `_CLASSES`."""
+
+    @staticmethod
+    def least(fam, a):
+        return checked_witness(fam, a, naive_least_coloring(a.n**fam.lift_arity, len(fam.colors()),
+                                                            naive_family_nogoods(fam, a)))
+
+    def test_empty_structure(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_CLASSES", {})
+        for fam in (three_col_family(), pair_family()):
+            empty = Structure(fam.base_sig, 0)
+            for _ in range(2):
+                assert same_lift(fp_membership(empty, fam), Lift(Structure(fam.sig, 0), fam.lift_arity, "partition"))
+
+    def test_one_class_on_twenty_vertices(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_CLASSES", {})
+        fam = triangle_free_family()
+        for _ in range(2):
+            assert same_lift(fp_membership(dcycle(20), fam), checked_witness(fam, dcycle(20), [0] * 20))
+        assert list(patterns._CLASSES) == [(20, 1, 1, 0)]
+
+    def test_ramsey_family(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_CLASSES", {})
+        fam = ramsey_family()
+        for _ in range(2):
+            assert same_lift(fp_membership(clique(3), fam), self.least(fam, clique(3)))  # 2^9 colorings
+        for n in (4, 5):  # 2^16 and 2^25 colorings: the solver's coloring
+            a = clique(n)
+            w = fp_membership(a, fam)
+            assert same_lift(w, checked_witness(fam, a, patterns._nogood_coloring(fam._compiled, a, (2,), 2)))
+        assert [key[:3] for key in patterns._CLASSES] == [(3, 2, 2)]
+
+    def test_element_names_are_kept(self):
+        fam = three_col_family()
+        a = Structure(fam.base_sig, 3, {"E": [(0, 1), (1, 2)]}, ("a", "b", "c"))
+        for _ in range(2):
+            w = fp_membership(a, fam)
+            assert w.struct.element_names == ("a", "b", "c")
+            assert same_lift(w, self.least(fam, a))
+
+    def test_planted_graph_on_the_template_route(self, monkeypatch):
+        routed = TestMaskBoundary.spy_on_templates(monkeypatch)
+        fam = three_col_family()
+        arcs = planted_arcs(random.Random(7), 33, 99, 3)
+        a = digraph(33, arcs)
+        w = fp_membership(a, fam)
+        assert routed == [33]
+        colours = colours_of(w, fam.colors())
+        assert same_lift(w, checked_witness(fam, a, colours)) and proper_colouring(arcs, colours)
+
+    def test_table_is_bounded_and_keeps_the_newest(self, monkeypatch):
+        monkeypatch.setattr(patterns, "_CLASSES", {})
+        monkeypatch.setattr(patterns, "_CLASSES_KEPT", 3)
+        fam = three_col_family()
+        # (structure, index of its least coloring among the 3^n)
+        cases = [(digraph(n), 0) for n in range(4)] + [(clique(3), 5), (dpath(2), 3)]
+        for a, _ in cases:
+            assert same_lift(fp_membership(a, fam), self.least(fam, a))
+        assert list(patterns._CLASSES) == [(a.n, 1, 3, i) for a, i in cases[-3:]]
+        for a, _ in cases:  # evicted or kept, the witnesses stay the same
+            assert same_lift(fp_membership(a, fam), self.least(fam, a))
+        assert len(patterns._CLASSES) == 3
+
+
 class TestMakePartitionLift:
     def test_colors_each_tuple(self):
         w = make_partition_lift(two_col_family(), digraph(2, [(0, 1)]), {(0,): 1, (1,): 0})
@@ -606,6 +704,18 @@ class TestFamilyArity:
     def test_lift_arity_must_be_positive(self):
         with pytest.raises(InvalidStructureError):
             PatternFamily(CSIG, (), "plain", 0)
+
+
+def test_family_hash_is_the_dataclass_hash_computed_once(monkeypatch):
+    fam, twin = three_col_family(), three_col_family()
+    assert fam == twin and fam is not twin and hash(fam) == hash(twin)
+    assert hash(fam) == hash(tuple(getattr(fam, f.name) for f in dataclasses.fields(fam)))
+    hashed = []
+    lift_hash = Lift.__hash__
+    monkeypatch.setattr(Lift, "__hash__", lambda p: hashed.append(p) or lift_hash(p))
+    fresh = three_col_family()
+    assert {hash(fresh) for _ in range(3)} == {hash(fam)}
+    assert hashed == list(fresh.patterns)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -277,6 +278,18 @@ def test_formula_compiles_once(monkeypatch):
     for a in [clique(3), clique(4), digraph(2, [(0, 0)]), digraph(0)] * 5:
         eval_snp(phi, a)
     assert len(built) == len(phi.clauses)
+
+
+def test_formula_hash_is_the_dataclass_hash_computed_once(monkeypatch):
+    phi, twin = parse_snp(THREE_COL), parse_snp(THREE_COL)
+    assert phi == twin and phi is not twin and hash(phi) == hash(twin)
+    assert hash(phi) == hash(tuple(getattr(phi, f.name) for f in dataclasses.fields(phi)))
+    hashed = []
+    clause_hash = Clause.__hash__
+    monkeypatch.setattr(Clause, "__hash__", lambda c: hashed.append(c) or clause_hash(c))
+    fresh = parse_snp(THREE_COL)
+    assert {hash(fresh) for _ in range(3)} == {hash(phi)}
+    assert hashed == list(fresh.clauses)
 
 
 def _formula_corpus():
