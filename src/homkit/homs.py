@@ -9,12 +9,10 @@ forward checking on held binary tuples, and tests what is left (absent
 pairs, tuples of arity 3 or more, noncollapse pairs) once the tuple is
 fully assigned.
 
-On a source of 5 or more elements the plan reads each binary relation
-once, into adjacency lists per constraint code: for each element, its
-partners in held tuples and, in full mode, in absent pairs.  The arc
-pass, the degrees and the forward checks all read these lists; a smaller
-source, where no arc pass runs, reads its degrees and forward checks
-straight from the tuples.  The arc pass revises an element's partners
+The plan reads each binary relation once, into adjacency lists per
+constraint code: for each element, its partners in held tuples and, in
+full mode, in absent pairs.  The degrees, the forward checks and the arc
+pass all read these lists.  The arc pass revises an element's partners
 one code at a time, and skips a code whose support (the target values
 its partners may take) is the one it last applied from that element.
 
@@ -84,7 +82,6 @@ core.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
 
 from .errors import GuardExceededError, InvalidStructureError, SignatureMismatchError
 from .structures import (
@@ -255,8 +252,6 @@ def _push(table, i, item):
         table[i] = [item]
 
 
-_head = itemgetter(0)
-
 # Plans of sources with at most this many elements run as emitted loop
 # nests, one `while` per element: CPython refuses more than 20 statically
 # nested blocks in one function.
@@ -275,24 +270,24 @@ def _free_slots(a: Structure, mode: HomMode):
 def _source_plan(a: Structure, mode: HomMode):
     """Compile the source side of a search once per (structure, mode).
 
-    One pass over the tuples finds the all-equal ones (for `node`) and, on
-    a source of 5 or more elements, where the arc pass runs, reads each
-    binary relation into adjacency lists by code (see `_target_tables`):
-    `lists[x]` holds x's partners, the other ends of x's held tuples u != v
-    under codes 4*symbol and 4*symbol + 1.  In full mode the absent pairs
-    that are not free are listed the same way, under 4*symbol + 2 and
-    4*symbol + 3.  The same pass counts each element's loops and the tuples
-    of other arities that contain it (on a source of 4 elements or fewer,
-    its binary partners too); `_stage_tables` adds the held list lengths to
-    make the degrees, and builds the order and the per-stage tables.
+    One pass over the tuples finds the all-equal ones (for `node`) and
+    reads each binary relation into adjacency lists by code (see
+    `_target_tables`): `lists[x]` holds x's partners, the other ends of x's
+    held tuples u != v under codes 4*symbol and 4*symbol + 1.  In full mode
+    the absent pairs that are not free are listed the same way, under
+    4*symbol + 2 and 4*symbol + 3.  The same pass counts each element's
+    loops and the tuples of other arities that contain it; `_stage_tables`
+    adds the held list lengths to make the degrees, and builds the order
+    and the per-stage tables.
 
-    The plan is (search, node, watches) on a source of 1 to `_NEST_LIMIT`
+    The plan is (search, node, watches) on a source of 5 to `_NEST_LIMIT`
     elements.  `watches` is the list of (code, lists) for every code with a
     partner, the adjacency lists themselves: when D(x) shrinks, the arc
-    pass revises lists[x] under each code.  It is None on sources of 4
-    elements or fewer, and so is `node` then, since the emitted code folds
-    it in.  `search` is the plan emitted as Python (`_emit_search`); the
-    stage tables are built at once, since the shape key is made of them.
+    pass revises lists[x] under each code.  `search` is the plan emitted as
+    Python (`_emit_search`); the stage tables are built at once, since the
+    shape key is made of them.  On a source of 1 to 4 elements, where no
+    arc pass runs, the plan is (search, None, None): the emitted code folds
+    `node` in, and the lists are dropped once the stage tables are built.
 
     On an empty or larger source the plan is the list [None, node, watches,
     degrees, stages]: only what the arc pass reads is built at once.
@@ -311,16 +306,13 @@ def _source_plan(a: Structure, mode: HomMode):
     n = a.n
     full = mode.tag == "full"
     free = _free_slots(a, mode) if full else ()  # read only in full mode
-    # on sources of 4 elements or fewer the arc pass costs more than it
-    # prunes, so they get no adjacency lists
-    lists = n > 4
     deg = [0] * n  # loops and tuples of other arities; the held lists' lengths come in _stage_tables
     node = [()] * n  # per element: (symbol, present)
-    groups = []  # (code, per element: its partners under it): held codes here, absent ones below
+    groups = []  # (code, per element: its partners under it)
     for si, (_, arity) in enumerate(a.sig.symbols):
         ra = a.rels[si]
         loops = []  # elements with a held all-equal tuple
-        if arity == 2 and lists:
+        if arity == 2:
             heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
             for u, v in ra:
                 if u != v:
@@ -331,27 +323,7 @@ def _source_plan(a: Structure, mode: HomMode):
                     loops.append(u)
             if any(heads):
                 groups += [(4 * si, heads), (4 * si + 1, tails)]
-        elif arity == 2:
-            for u, v in ra:
-                deg[u] += 1
-                if u != v:
-                    deg[v] += 1
-                else:
-                    loops.append(u)
-        else:
-            for t in ra:
-                if t.count(t[0]) == arity:
-                    loops.append(t[0])
-                for x in set(t):
-                    deg[x] += 1
-        for x in range(n) if full else loops:
-            t = (x,) * arity
-            if t in ra or (si, t) not in free:
-                _push(node, x, (si, t in ra))
-    if full and lists:
-        for si, (_, arity) in enumerate(a.sig.symbols):
-            if arity == 2:
-                ra = a.rels[si]
+            if full:
                 heads, tails = [[] for _ in range(n)], [[] for _ in range(n)]
                 for u in range(n):
                     for v in range(n):
@@ -362,19 +334,31 @@ def _source_plan(a: Structure, mode: HomMode):
                             tails[v].append(u)
                 if any(heads):
                     groups += [(4 * si + 2, heads), (4 * si + 3, tails)]
+        else:
+            for t in ra:
+                if t.count(t[0]) == arity:
+                    loops.append(t[0])
+                for x in set(t):
+                    deg[x] += 1
+        for x in range(n) if full else loops:
+            t = (x,) * arity
+            if t in ra or (si, t) not in free:
+                _push(node, x, (si, t in ra))
 
-    watches = groups if lists else None
     if 0 < n <= _NEST_LIMIT:
-        order, *stages = _stage_tables(a, mode, watches, deg)
-        folded = None if lists else node
+        order, *stages = _stage_tables(a, mode, groups, deg)
+        # on sources of 4 elements or fewer the arc pass costs more than it
+        # prunes: the emitted code folds node consistency in, and the plan
+        # drops the lists
+        folded = node if n <= 4 else None
         injective = mode.tag == "injective"
         shape = _shape_key(n, order, folded, injective, stages)
         search = _COMPILED.get(shape)
         if search is None:
             search = _COMPILED[shape] = _compile_search(_emit_search(n, order, folded, injective, stages))
-        plan = (search, node if lists else None, watches)
+        plan = (search, None, None) if n <= 4 else (search, node, groups)
     else:
-        plan = [None, node, watches, deg, None]
+        plan = [None, node, groups, deg, None]
     a._cache[key] = plan
     return plan
 
@@ -383,12 +367,10 @@ def _stage_tables(a: Structure, mode: HomMode, groups, deg):
     """The search order and the per-stage tables of a plan: (order, fwd,
     checks2, checks, collapse_check, collapse_fwd).
 
-    `groups` are the plan's adjacency lists, or None on a source of 4
-    elements or fewer, whose binary tuples are then read again.  `deg`
-    counts each element's loops and tuples of other arities (and, without
-    lists, its binary partners); the held list lengths complete it.  Stage
-    s assigns element order[s], most tuples first, ties by index.  What
-    each stage enforces:
+    `groups` are the plan's adjacency lists.  `deg` counts each element's
+    loops and tuples of other arities; the held list lengths complete it.
+    Stage s assigns element order[s], most tuples first, ties by index.
+    What each stage enforces:
     - fwd[s]: a held binary tuple with one later coordinate y restricts D(y)
       to rows[code][value] as soon as its earlier coordinate is assigned;
     - checks2[s]: full mode only, absent pairs u != v whose later coordinate
@@ -397,17 +379,17 @@ def _stage_tables(a: Structure, mode: HomMode, groups, deg):
     - collapse_check[s] / collapse_fwd[s]: noncollapse pairs, checked against
       the earlier partner and pruned from the later partner's domain.
     (node[x], the all-equal tuples (x, ..., x), is folded into x's initial
-    domain.)  Entries come in the same order from lists and from tuples:
-    by symbol, then by the pair's first element, then as the relation
-    lists its tuples (absent pairs: by second element).  A table that stays
-    empty (checks2 outside full mode, checks without a symbol of arity 3
-    or more, the collapse tables without noncollapse pairs) is one shared
-    tuple of empty tuples.  A slot of checks or the collapse tables gets a
-    list at its first entry; fwd and checks2 have a list per stage.
+    domain.)  Entries come by symbol, then by the pair's first element,
+    then as the relation lists its tuples (absent pairs: by second
+    element).  A table that stays empty (checks2 outside full mode, checks
+    without a symbol of arity 3 or more, the collapse tables without
+    noncollapse pairs) is one shared tuple of empty tuples.  A slot of
+    checks or the collapse tables gets a list at its first entry; fwd and
+    checks2 have a list per stage.
     """
     n = a.n
     full = mode.tag == "full"
-    pairs = iter(groups or ())
+    pairs = iter(groups)
     for (code, heads), (_, tails) in zip(pairs, pairs):  # each code's lists come with its transpose
         if code & 2 == 0:  # held pairs: add each element's partners
             deg = [d + len(h) + len(t) for d, h, t in zip(deg, heads, tails)]
@@ -420,42 +402,24 @@ def _stage_tables(a: Structure, mode: HomMode, groups, deg):
     fwd = [[] for _ in range(n)]  # per stage: (later element, code)
     checks2 = [[] for _ in range(n)] if full else empty  # per stage: (symbol, u, v) that must stay absent
     checks = [()] * n if any(k > 2 for _, k in a.sig.symbols) else empty  # per stage: (symbol, tuple, present)
-    # the free slots are read only where tuples are: absent pairs without
-    # lists, and tuples of arity 3 or more
-    free = _free_slots(a, mode) if full and (groups is None or checks is not empty) else ()
-    if groups is None:
-        for si, (_, arity) in enumerate(a.sig.symbols):
-            if arity == 2:
-                code, ra = 4 * si, a.rels[si]
-                for u, v in sorted(ra, key=_head):  # stable: within one u, in the relation's order
-                    su, sv = stage_of[u], stage_of[v]
-                    if su < sv:
-                        fwd[su].append((v, code))
-                    elif su > sv:
-                        fwd[sv].append((u, code + 1))
-                if full:  # as `_source_plan` lists them on larger sources
-                    for u in range(n):
-                        for v in range(n):
-                            if u != v and (u, v) not in ra and (si, (u, v)) not in free:
-                                checks2[max(stage_of[u], stage_of[v])].append((si, u, v))
-    else:
-        for code, heads in groups[::2]:
-            if code & 2:  # absent pairs
-                si = code >> 2
-                for u, vs in enumerate(heads):
-                    su = stage_of[u]
-                    for v in vs:
-                        sv = stage_of[v]
-                        checks2[su if su > sv else sv].append((si, u, v))
-                continue
+    for code, heads in groups[::2]:
+        if code & 2:  # absent pairs
+            si = code >> 2
             for u, vs in enumerate(heads):
                 su = stage_of[u]
                 for v in vs:
-                    if su < stage_of[v]:
-                        fwd[su].append((v, code))
-                    else:
-                        fwd[stage_of[v]].append((u, code + 1))
+                    sv = stage_of[v]
+                    checks2[su if su > sv else sv].append((si, u, v))
+            continue
+        for u, vs in enumerate(heads):
+            su = stage_of[u]
+            for v in vs:
+                if su < stage_of[v]:
+                    fwd[su].append((v, code))
+                else:
+                    fwd[stage_of[v]].append((u, code + 1))
     if checks is not empty:
+        free = _free_slots(a, mode) if full else ()
         for si, (_, arity) in enumerate(a.sig.symbols):
             if arity > 2:
                 ra = a.rels[si]
@@ -614,7 +578,7 @@ def _initial_domains(n, plan, tables, avoid):
         if d == 0:
             return None
         doms.append(d)
-    if watches is None or min(map(int.bit_count, doms)) >= max([least[c] for c, _ in watches], default=0):
+    if min(map(int.bit_count, doms)) >= max([least[c] for c, _ in watches], default=0):
         return doms
 
     ncodes = len(rows)
@@ -821,11 +785,10 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None, 
     First-map callers (`hom_exists`, `_maps_to`, `_shrinking_endo`) pass
     `_first`, and may get that first map alone: on a source above
     `_NEST_LIMIT` whose arc-consistent domains are not all equal, the
-    least assignment is tried before the search (`_least_map`), when the
-    plan has the adjacency lists that test it.  Equal domains are skipped
-    because nothing pruned them apart: into K_k, say, where the least
-    assignment puts every element on one value.  The stage tables of the
-    plan are built here, at its first search.
+    least assignment is tried before the search (`_least_map`).  Equal
+    domains are skipped because nothing pruned them apart: into K_k, say,
+    where the least assignment puts every element on one value.  The stage
+    tables of the plan are built here, at its first search.
     """
     if a.sig is not b.sig and a.sig != b.sig:
         raise SignatureMismatchError(
@@ -839,14 +802,14 @@ def hom_maps(a: Structure, b: Structure, mode: HomMode = PLAIN, *, _avoid=None, 
         return iter(())
     tables = _target_tables(b)
     search = plan[0]
-    if plan[2] is None and search is not None:
+    if plan[2] is None:
         return search(tables, _avoid)  # no arc pass: node consistency is in the emitted code
     doms = _initial_domains(n, plan, tables, _avoid)
     if doms is None:
         return iter(())
     if search is not None:
         return search(tables, doms)
-    if _first and plan[2] is not None and doms.count(doms[0]) < n:
+    if _first and doms.count(doms[0]) < n:
         least = _least_map(a, mode, plan[2], tables, doms)
         if least is not None:
             return iter((least,))

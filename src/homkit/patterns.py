@@ -88,6 +88,12 @@ class PatternFamily:
         hashes its owner on every call above `_MASK_LIMIT`."""
         return hash((self.sig, self.patterns, self.mode_tag, self.lift_arity))
 
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields alone: the cached
+        hash depends on the process's string-hash seed, and the functions
+        emitted for `_compiled` do not pickle."""
+        return PatternFamily, (self.sig, self.patterns, self.mode_tag, self.lift_arity)
+
     def __post_init__(self):
         if self.mode_tag not in ("plain", "injective", "full"):
             raise ValueError(f"unknown mode {self.mode_tag!r}")
@@ -605,14 +611,6 @@ def _avoiding(programs, a: Structure, arities, k: int) -> int:
             return 0
         forbidden |= f
     return full & ~forbidden
-
-
-def _least_coloring(programs, a: Structure, arities, k: int):
-    """The lexicographically least assignment `_avoiding` leaves, as a list, or None."""
-    free = _avoiding(programs, a, arities, k)
-    if not free:
-        return None
-    return _digits((free & -free).bit_length() - 1, sum(a.n ** r for r in arities), k)
 
 
 def _digits(i: int, nvars: int, k: int) -> list:

@@ -70,6 +70,10 @@ class SNPFormula:
         """The dataclass hash of the fields, computed once, as for `PatternFamily`."""
         return hash((self.input_sig, self.proof, self.clauses))
 
+    def __reduce__(self):
+        """Rebuilt from the fields alone, as for `PatternFamily`."""
+        return SNPFormula, (self.input_sig, self.proof, self.clauses)
+
     @functools.cached_property
     def _arities(self) -> tuple:
         return tuple(arity for _, arity in self.proof)

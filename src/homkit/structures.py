@@ -64,6 +64,10 @@ class Signature:
         """The signature with the lift part removed."""
         return _interned(self.base_symbols())
 
+    def __reduce__(self):
+        """Copies and pickles come back as the interned signature."""
+        return _interned, (self.symbols, self.lift_names)
+
 
 # Every signature homkit builds itself, by value, while it is in use: equal
 # signatures from `make_signature`, `Signature.base`, the parsers and the SNP
@@ -121,6 +125,12 @@ class Structure:
 
     def __setattr__(self, name, value):
         raise AttributeError("Structure is immutable")
+
+    def __reduce__(self):
+        """Copies and pickles are rebuilt from the fields, with a fresh
+        `_cache` and no cached hash: another process hashes strings with
+        another seed."""
+        return _trusted_structure, (self.sig, self.n, self.rels, self.element_names)
 
     def rel(self, name: str) -> frozenset:
         return self.rels[self.sig.index(name)]

@@ -236,6 +236,14 @@ class TestGroupedWalk:
             assert members > 0
 
 
+def least_coloring(programs, a, arities, k):
+    """The lexicographically least assignment `_avoiding` leaves, decoded by `_digits`, or None."""
+    free = patterns._avoiding(programs, a, arities, k)
+    if not free:
+        return None
+    return patterns._digits((free & -free).bit_length() - 1, sum(a.n**r for r in arities), k)
+
+
 @settings(max_examples=300, deadline=None)
 @given(subject=st.one_of(shadow_sharing_families(), partial_families(), shadow_sharing_formulas()),
        a=ue_structures())
@@ -247,7 +255,7 @@ def test_mask_and_nogood_paths_agree(subject, a):
     else:
         arities, k = tuple(arity for _, arity in subject.proof), 2
         naive = naive_formula_nogoods(subject, a)
-    masks = patterns._least_coloring(subject._compiled, a, arities, k)
+    masks = least_coloring(subject._compiled, a, arities, k)
     nogoods = patterns._nogood_coloring(subject._compiled, a, arities, k)
     assert (masks is None) == (nogoods is None)
     assert masks == naive_least_coloring(sum(a.n**r for r in arities), k, naive)
@@ -280,20 +288,20 @@ class TestMaskBoundary:
         empty = Structure(fam.base_sig, 0)
         w = fp_membership(empty, fam)
         assert w is not None and w.n == 0
-        for decide in (patterns._least_coloring, patterns._nogood_coloring):
+        for decide in (least_coloring, patterns._nogood_coloring):
             assert decide(fam._compiled, empty, (1,), 3) == []
         # a 0-element pattern occurs everywhere
         nothing = PatternFamily(CSIG, (Lift(Structure(CSIG, 0), 1, "none"),), "plain", 1)
         for a in (empty, clique(2)):
             assert fp_membership(a, nothing) is None
-            for decide in (patterns._least_coloring, patterns._nogood_coloring):
+            for decide in (least_coloring, patterns._nogood_coloring):
                 assert decide(nothing._compiled, a, (1,), 3) is None
 
     def test_member_without_cells(self):
         # an uncolored point: every occurrence forbids every coloring
         fam = PatternFamily(CSIG, (Lift(Structure(CSIG, 1), 1, "none"),), "plain", 1)
         assert fp_membership(digraph(14), fam) is None  # 3^14 colorings
-        for decide in (patterns._least_coloring, patterns._nogood_coloring):
+        for decide in (least_coloring, patterns._nogood_coloring):
             assert decide(fam._compiled, clique(2), (1,), 3) is None
         assert fp_membership(Structure(fam.base_sig, 0), fam) is not None
 
